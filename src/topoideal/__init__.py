@@ -15,6 +15,8 @@ from .core import (
     IdealSpace,
     NotAnIdeal,
     NotATopology,
+    NotNowhereDense,
+    RoutesDisagree,
     SpaceProps,
     Subspace,
     TopoidealError,

@@ -1,11 +1,13 @@
 """Precomputed predicate tables over all subsets of one space.
 
 TopologyAnalysis holds the ideal-free tables (shared by every ideal on the
-same topology), SpaceAnalysis the ideal-dependent ones.  Each table is a
-list indexed by subset mask.  Everything is lazy, so a sweep only pays for
-the predicates its selected checks consult.  These tables are the fast
-route; topoideal.classes holds the definitional route, and the test suite
-pins the two against each other.
+same topology), SpaceAnalysis the ideal-dependent ones.  A table is either
+a list indexed by subset mask or, for the predicates the set sweep checks,
+a packed family: an int whose bit m is set iff subset m has the property
+(the `*_bits` tables; the matching `*_t` lists are unpacked from them).
+Everything is lazy, so a sweep only pays for the predicates its selected
+checks consult.  These tables are the fast route; topoideal.classes holds
+the definitional route, and the test suite pins the two against each other.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from functools import cached_property
 from .core import (
     FiniteTopology,
     IdealSpace,
+    RoutesDisagree,
     SpaceProps,
     bits,
     local_function,
@@ -22,6 +25,27 @@ from .core import (
     subspace,
 )
 from .classes import ClassVector
+
+
+class lazy_table(cached_property):
+    """cached_property without the lock Python 3.11 takes on every first access.
+
+    A table is a pure function of immutable inputs, so two threads racing to
+    build it store equal values; the lock only costs time, and a sweep makes
+    about a million first accesses.  It stays a cached_property subclass so
+    code that finds the tables by type still sees them.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
+def _unpack(packed: int, size: int) -> list[bool]:
+    """Per-subset flag list of a packed family."""
+    return [packed >> m & 1 == 1 for m in range(size)]
 
 
 class TopologyAnalysis:
@@ -32,7 +56,7 @@ class TopologyAnalysis:
         self.size = 1 << topo.n
         self._sub_cache: dict[int, tuple] = {}
 
-    @cached_property
+    @lazy_table
     def interior_t(self) -> list[int]:
         out = [0] * self.size
         for x in range(self.n):
@@ -43,51 +67,66 @@ class TopologyAnalysis:
                     out[m] |= bit
         return out
 
-    @cached_property
+    @lazy_table
     def closure_t(self) -> list[int]:
         it, full = self.interior_t, self.full
         return [full ^ it[full ^ m] for m in range(self.size)]
 
-    @cached_property
+    @lazy_table
     def closed_family(self) -> tuple[int, ...]:
         return self.topo.closed_sets()
 
-    @cached_property
+    @lazy_table
     def regclosed_family(self) -> tuple[int, ...]:
         cl, it = self.closure_t, self.interior_t
         return tuple(sorted({cl[u] for u in self.topo.opens}))
 
-    @cached_property
-    def preopen_t(self) -> list[bool]:
-        it, cl = self.interior_t, self.closure_t
-        return [m & ~it[cl[m]] == 0 for m in range(self.size)]
+    @lazy_table
+    def open_bits(self) -> int:
+        out = 0
+        for u in self.topo.opens:
+            out |= 1 << u
+        return out
 
-    @cached_property
+    @lazy_table
+    def preopen_bits(self) -> int:
+        it, cl = self.interior_t, self.closure_t
+        out = 0
+        for m in range(self.size):
+            if m & ~it[cl[m]] == 0:
+                out |= 1 << m
+        return out
+
+    @lazy_table
+    def preopen_t(self) -> list[bool]:
+        return _unpack(self.preopen_bits, self.size)
+
+    @lazy_table
     def semi_t(self) -> list[bool]:
         it, cl = self.interior_t, self.closure_t
         return [m & ~cl[it[m]] == 0 for m in range(self.size)]
 
-    @cached_property
+    @lazy_table
     def alpha_t(self) -> list[bool]:
         it, cl = self.interior_t, self.closure_t
         return [m & ~it[cl[it[m]]] == 0 for m in range(self.size)]
 
-    @cached_property
+    @lazy_table
     def beta_t(self) -> list[bool]:
         it, cl = self.interior_t, self.closure_t
         return [m & ~cl[it[cl[m]]] == 0 for m in range(self.size)]
 
-    @cached_property
+    @lazy_table
     def regclosed_t(self) -> list[bool]:
         it, cl = self.interior_t, self.closure_t
         return [m == cl[it[m]] for m in range(self.size)]
 
-    @cached_property
+    @lazy_table
     def dense_t(self) -> list[bool]:
         cl, full = self.closure_t, self.full
         return [cl[m] == full for m in range(self.size)]
 
-    @cached_property
+    @lazy_table
     def lc_t(self) -> list[bool]:
         out = [False] * self.size
         for u in self.topo.opens:
@@ -95,7 +134,7 @@ class TopologyAnalysis:
                 out[u & c] = True
         return out
 
-    @cached_property
+    @lazy_table
     def aset_t(self) -> list[bool]:
         out = [False] * self.size
         for u in self.topo.opens:
@@ -103,27 +142,26 @@ class TopologyAnalysis:
                 out[u & r] = True
         return out
 
-    @cached_property
+    @lazy_table
     def preopen_family(self) -> tuple[int, ...]:
-        t = self.preopen_t
-        return tuple(m for m in range(self.size) if t[m])
+        return tuple(bits(self.preopen_bits))
 
-    @cached_property
+    @lazy_table
     def semi_family(self) -> tuple[int, ...]:
         t = self.semi_t
         return tuple(m for m in range(self.size) if t[m])
 
-    @cached_property
+    @lazy_table
     def alpha_family(self) -> tuple[int, ...]:
         t = self.alpha_t
         return tuple(m for m in range(self.size) if t[m])
 
-    @cached_property
+    @lazy_table
     def submaximal(self) -> bool:
         dense, opens = self.dense_t, self.topo.opens_set
         return all(not dense[m] or m in opens for m in range(self.size))
 
-    @cached_property
+    @lazy_table
     def nd_gen(self) -> int:
         it, cl = self.interior_t, self.closure_t
         gen = 0
@@ -150,59 +188,95 @@ class SpaceAnalysis:
         self.full = sp.topo.full
         self.size = 1 << sp.n
 
-    @cached_property
+    @lazy_table
     def star_t(self) -> list[int]:
-        return [local_function(self.sp, m) for m in range(self.size)]
+        # A* = Cl(A - gen): x is in A* iff min_nbhd[x] meets A outside gen
+        cl, keep = self.ta.closure_t, self.full & ~self.sp.ideal.gen
+        return [cl[m & keep] for m in range(self.size)]
 
-    @cached_property
+    @lazy_table
     def cl_star_t(self) -> list[int]:
         st = self.star_t
         return [m | st[m] for m in range(self.size)]
 
-    @cached_property
+    @lazy_table
+    def star_families(self) -> tuple[int, int, int, int]:
+        """Packed pre-I-open, I-open, star-dense-in-itself and star-perfect
+        families, filled in one pass over star_t."""
+        it = self.ta.interior_t
+        pio = io = sdi = perfect = 0
+        for m, s in enumerate(self.star_t):
+            bit = 1 << m
+            if m & ~it[m | s] == 0:
+                pio |= bit
+            if m & ~it[s] == 0:
+                io |= bit
+            if m & ~s == 0:
+                sdi |= bit
+            if m == s:
+                perfect |= bit
+        return pio, io, sdi, perfect
+
+    @lazy_table
+    def pio_bits(self) -> int:
+        return self.star_families[0]
+
+    @lazy_table
+    def io_bits(self) -> int:
+        return self.star_families[1]
+
+    @lazy_table
+    def sdi_bits(self) -> int:
+        return self.star_families[2]
+
+    @lazy_table
+    def perfect_bits(self) -> int:
+        return self.star_families[3]
+
+    @lazy_table
     def pio_t(self) -> list[bool]:
-        it, cs = self.ta.interior_t, self.cl_star_t
-        return [m & ~it[cs[m]] == 0 for m in range(self.size)]
+        return _unpack(self.pio_bits, self.size)
 
-    @cached_property
+    @lazy_table
     def io_t(self) -> list[bool]:
-        it, st = self.ta.interior_t, self.star_t
-        return [m & ~it[st[m]] == 0 for m in range(self.size)]
+        return _unpack(self.io_bits, self.size)
 
-    @cached_property
+    @lazy_table
     def sdi_t(self) -> list[bool]:
-        st = self.star_t
-        return [m & ~st[m] == 0 for m in range(self.size)]
+        return _unpack(self.sdi_bits, self.size)
 
-    @cached_property
+    @lazy_table
     def perfect_t(self) -> list[bool]:
-        st = self.star_t
-        return [m == st[m] for m in range(self.size)]
+        return _unpack(self.perfect_bits, self.size)
 
-    @cached_property
+    @lazy_table
     def pio_family(self) -> tuple[int, ...]:
-        t = self.pio_t
-        return tuple(m for m in range(self.size) if t[m])
+        return tuple(bits(self.pio_bits))
 
-    @cached_property
+    @lazy_table
     def perfect_family(self) -> tuple[int, ...]:
-        t = self.perfect_t
-        return tuple(m for m in range(self.size) if t[m])
+        return tuple(bits(self.perfect_bits))
 
-    @cached_property
+    @lazy_table
     def piclosed_t(self) -> list[bool]:
         pio, full = self.pio_t, self.full
         return [pio[full ^ m] for m in range(self.size)]
 
-    @cached_property
-    def ilc_t(self) -> list[bool]:
-        out = [False] * self.size
-        for u in self.sp.topo.opens:
-            for v in self.perfect_family:
-                out[u & v] = True
+    @lazy_table
+    def ilc_bits(self) -> int:
+        """Packed I-locally closed family: every U & V, U open, V star-perfect."""
+        opens = self.sp.topo.opens
+        out = 0
+        for v in self.perfect_family:
+            for u in opens:
+                out |= 1 << (u & v)
         return out
 
-    @cached_property
+    @lazy_table
+    def ilc_t(self) -> list[bool]:
+        return _unpack(self.ilc_bits, self.size)
+
+    @lazy_table
     def ts_open_t(self) -> list[bool]:
         ms = star_min_nbhd(self.sp)
         out = []
@@ -210,16 +284,19 @@ class SpaceAnalysis:
             out.append(all(ms[x] & ~m == 0 for x in bits(m)))
         return out
 
-    @cached_property
+    @lazy_table
     def hayashi_samuels(self) -> bool:
+        # from the opens, so props can cross-check it against X* = X
         gen = self.sp.ideal.gen
         return all(u == 0 or u & ~gen for u in self.sp.topo.opens)
 
-    @cached_property
+    @lazy_table
     def props(self) -> SpaceProps:
         hs_trace = self.hayashi_samuels
-        hs_star = self.star_t[self.full] == self.full
-        assert hs_trace == hs_star
+        hs_star = local_function(self.sp, self.full) == self.full
+        if hs_trace != hs_star:
+            raise RoutesDisagree(
+                f"Hayashi-Samuels: {hs_trace} from the opens, {hs_star} from X*")
         ts = self.ts_open_t
         return SpaceProps(
             hayashi_samuels=hs_trace,
@@ -227,7 +304,7 @@ class SpaceAnalysis:
             i_strongly_irresolvable=all(ts[m] for m in self.pio_family),
         )
 
-    @cached_property
+    @lazy_table
     def pio_cover_ok_t(self) -> list[bool]:
         """Every point of m lies in some pre-I-open set inside m (tt4 condition 2)."""
         fam = self.pio_family
@@ -242,7 +319,7 @@ class SpaceAnalysis:
             out.append(ok)
         return out
 
-    @cached_property
+    @lazy_table
     def cl_star_nbhd_ok_t(self) -> list[bool]:
         """Cl_star(m) is a neighborhood of every point of m (tt4 condition 3)."""
         it, cs = self.ta.interior_t, self.cl_star_t

@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated check ids, groups like t5, or 'all'")
     p.add_argument("--direction", choices=("fwd", "bwd"))
     p.add_argument("--hypothesis", choices=("none", "hs"))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the usable CPU cores")
     p.add_argument("--max-witnesses", type=int, default=25)
     p.add_argument("--force", action="store_true",
                    help="run checks past their default carrier bound")

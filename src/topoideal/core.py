@@ -37,6 +37,14 @@ class EmptyCarrier(TopoidealError):
     pass
 
 
+class RoutesDisagree(TopoidealError):
+    """Two independent computations of the same property gave different answers."""
+
+
+class NotNowhereDense(TopoidealError):
+    """The union of all nowhere dense sets came out not nowhere dense."""
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -312,14 +320,15 @@ def nowhere_dense_ideal(topo: FiniteTopology) -> Ideal:
     """Principal ideal generated by the union of all nowhere dense sets.
 
     On a finite carrier the union is a finite union of nowhere dense sets,
-    hence itself nowhere dense; asserted after construction.
+    hence itself nowhere dense; checked after construction.
     """
     n = topo.n
     gen = 0
     for m in range(1 << n):
         if consolidation(topo, m) == 0:
             gen |= m
-    assert consolidation(topo, gen) == 0
+    if consolidation(topo, gen) != 0:
+        raise NotNowhereDense(f"union {gen:#x} of the nowhere dense sets has nonempty Int(Cl)")
     return Ideal(n, gen)
 
 
@@ -339,26 +348,26 @@ def subspace(topo: FiniteTopology, mask: int) -> Subspace:
     return Subspace(_topology_from_opens_trusted(len(points), rel), points)
 
 
-def _is_pre_i_open(sp: IdealSpace, mask: int) -> bool:
-    return mask & ~interior(sp.topo, star_closure(sp, mask)) == 0
-
-
 def space_props(sp: IdealSpace) -> SpaceProps:
     """Hayashi-Samuels, submaximal, and strong-irresolvability flags of a space.
 
     Hayashi-Samuels is computed both as "no nonempty open lies in the ideal"
     and as "X equals its local function"; the two must agree.
     """
+    from .classes import is_pre_i_open   # classes imports this module
+
     topo, ideal = sp.topo, sp.ideal
     top = topo.full
     hs_by_trace = all(u == 0 or not ideal.contains(u) for u in topo.opens)
     hs_by_star = local_function(sp, top) == top
-    assert hs_by_trace == hs_by_star
+    if hs_by_trace != hs_by_star:
+        raise RoutesDisagree(
+            f"Hayashi-Samuels: {hs_by_trace} from the opens, {hs_by_star} from X*")
     dense_all_open = all(
         closure(topo, m) != top or topo.is_open(m) for m in range(1 << topo.n))
     star_opens = tau_star(sp).opens_set
     pio_inside_star = all(
-        not _is_pre_i_open(sp, m) or m in star_opens for m in range(1 << topo.n))
+        not is_pre_i_open(sp, m) or m in star_opens for m in range(1 << topo.n))
     return SpaceProps(
         hayashi_samuels=hs_by_trace,
         submaximal=dense_all_open,

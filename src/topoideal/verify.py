@@ -17,17 +17,17 @@ an independent route from the sweep's precomputed tables.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
+from typing import Callable
 
 from . import claims as _claims
 from .analysis import SpaceAnalysis, TopologyAnalysis
 from .classes import (
-    is_a_set,
-    is_i_locally_closed,
-    is_i_open,
-    is_locally_closed,
+    is_alpha_open,
     is_pre_i_open,
     is_preopen,
     is_semi_open,
@@ -49,7 +49,6 @@ from .maps import (
     check_pre_i_continuity_equivalences,
     compose,
     map_classes,
-    preimage,
 )
 
 DEFAULT_MAX_WITNESSES = 25
@@ -277,104 +276,103 @@ class Report:
 
 # --- set-scope check runners --------------------------------------------------
 
-def _directions(directional: bool, direction: str) -> tuple[str, ...]:
-    if not directional:
-        return ("both",)
-    return ("fwd", "bwd") if direction == "both" else (direction,)
+@dataclass(frozen=True)
+class SetRow:
+    """A per-subset check over a space's packed families.
+
+    Each leg maps a SpaceAnalysis to the bitset of subsets that violate it;
+    a one-way check has only `fwd`.  A witness traces the row's atoms, read
+    at its subset.
+    """
+
+    atoms: tuple[str, ...]
+    fwd: Callable[[SpaceAnalysis], int]
+    bwd: Callable[[SpaceAnalysis], int] | None = None
 
 
-def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, direction: str, emit) -> int:
-    """Run one space's worth of instances; returns the number visited."""
+# trace atom -> the packed family it reads
+_SET_ATOM_BITS: dict[str, Callable[[SpaceAnalysis], int]] = {
+    "open": attrgetter("ta.open_bits"),
+    "preopen": attrgetter("ta.preopen_bits"),
+    "pre_i_open": attrgetter("pio_bits"),
+    "i_open": attrgetter("io_bits"),
+    "star_dense_in_itself": attrgetter("sdi_bits"),
+    "star_perfect": attrgetter("perfect_bits"),
+    "i_locally_closed": attrgetter("ilc_bits"),
+}
+
+SET_ROWS: dict[str, SetRow] = {
+    "t1": SetRow(("i_open", "pre_i_open"),
+                 lambda s: s.io_bits & ~s.pio_bits),
+    "t2": SetRow(("open", "pre_i_open"),
+                 lambda s: s.ta.open_bits & ~s.pio_bits),
+    "t3": SetRow(("pre_i_open", "preopen"),
+                 lambda s: s.pio_bits & ~s.ta.preopen_bits),
+    "tt6": SetRow(("i_open", "pre_i_open", "star_dense_in_itself"),
+                  lambda s: s.io_bits & ~(s.pio_bits & s.sdi_bits),
+                  lambda s: s.pio_bits & s.sdi_bits & ~s.io_bits),
+    "tt42": SetRow(("open", "pre_i_open", "i_locally_closed"),
+                   lambda s: s.ta.open_bits & ~(s.pio_bits & s.ilc_bits),
+                   lambda s: s.pio_bits & s.ilc_bits & ~s.ta.open_bits),
+    "star_perfect_remark": SetRow(
+        ("star_perfect", "open", "i_open", "pre_i_open"),
+        lambda s: s.perfect_bits & ((s.ta.open_bits ^ s.io_bits) | (s.io_bits ^ s.pio_bits))),
+}
+
+
+def _run_set_row(row: SetRow, sa: SpaceAnalysis, direction: str, found: list) -> int:
+    """Evaluate one row on one space; returns the number of subsets visited.
+    Each violation is appended to found as (kind, data, trace, direction)."""
+    fwd = row.fwd(sa) if direction != "bwd" else 0
+    bwd = row.bwd(sa) if row.bwd is not None and direction != "fwd" else 0
+    if fwd | bwd:
+        # the legs are disjoint, so one ascending pass keeps subset order
+        values = [(atom, _SET_ATOM_BITS[atom](sa)) for atom in row.atoms]
+        for a in bits(fwd | bwd):
+            found.append((
+                "set", {"subset": a},
+                {atom: packed >> a & 1 == 1 for atom, packed in values},
+                None if row.bwd is None else "fwd" if fwd >> a & 1 else "bwd",
+            ))
+    return sa.size
+
+
+def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, found: list) -> int:
+    """Run one space's worth of instances of a check without a row; returns
+    the number visited.  Each violation is appended to found as
+    (kind, data, trace, direction)."""
     cid = check.id
     size = sa.size
-    opens = sa.sp.topo.opens_set
-    pio, po = sa.pio_t, sa.ta.preopen_t
-
-    if cid == "t1":
-        io = sa.io_t
-        for a in range(size):
-            if io[a] and not pio[a]:
-                emit("set", {"subset": a}, {"i_open": True, "pre_i_open": False}, None)
-        return size
-    if cid == "t2":
-        for a in range(size):
-            if a in opens and not pio[a]:
-                emit("set", {"subset": a}, {"open": True, "pre_i_open": False}, None)
-        return size
-    if cid == "t3":
-        for a in range(size):
-            if pio[a] and not po[a]:
-                emit("set", {"subset": a}, {"pre_i_open": True, "preopen": False}, None)
-        return size
-    if cid == "tt6":
-        io, sdi = sa.io_t, sa.sdi_t
-        fwd = direction in ("both", "fwd")
-        bwd = direction in ("both", "bwd")
-        for a in range(size):
-            if fwd and io[a] and not (pio[a] and sdi[a]):
-                emit("set", {"subset": a},
-                     {"i_open": True, "pre_i_open": pio[a], "star_dense_in_itself": sdi[a]},
-                     "fwd")
-            if bwd and pio[a] and sdi[a] and not io[a]:
-                emit("set", {"subset": a},
-                     {"pre_i_open": True, "star_dense_in_itself": True, "i_open": False},
-                     "bwd")
-        return size
-    if cid == "tt42":
-        ilc = sa.ilc_t
-        fwd = direction in ("both", "fwd")
-        bwd = direction in ("both", "bwd")
-        for a in range(size):
-            is_open = a in opens
-            if fwd and is_open and not (pio[a] and ilc[a]):
-                emit("set", {"subset": a},
-                     {"open": True, "pre_i_open": pio[a], "i_locally_closed": ilc[a]},
-                     "fwd")
-            if bwd and pio[a] and ilc[a] and not is_open:
-                emit("set", {"subset": a},
-                     {"pre_i_open": True, "i_locally_closed": True, "open": False},
-                     "bwd")
-        return size
-    if cid == "star_perfect_remark":
-        perf, io = sa.perfect_t, sa.io_t
-        for a in range(size):
-            if perf[a]:
-                is_open = a in opens
-                if not (is_open == io[a] == pio[a]):
-                    emit("set", {"subset": a},
-                         {"star_perfect": True, "open": is_open,
-                          "i_open": io[a], "pre_i_open": pio[a]}, None)
-        return size
     if cid == "x_always_pio":
-        if not pio[sa.full]:
-            emit("set", {"subset": sa.full}, {"pre_i_open": False}, None)
+        if not sa.pio_bits >> sa.full & 1:
+            found.append(("set", {"subset": sa.full}, {"pre_i_open": False}, None))
         return 1
     if cid == "t5.i":
-        fam = sa.pio_family
+        fam, pio = sa.pio_family, sa.pio_t
         for a in fam:
             for b in fam:
                 if not pio[a | b]:
-                    emit("set_pair", {"first": a, "second": b},
-                         {"pre_i_open(first)": True, "pre_i_open(second)": True,
-                          "pre_i_open(union)": False}, None)
+                    found.append(("set_pair", {"first": a, "second": b},
+                                  {"pre_i_open(first)": True, "pre_i_open(second)": True,
+                                   "pre_i_open(union)": False}, None))
         return len(fam) * len(fam)
     if cid == "t5.ii":
-        fam = sa.pio_family
+        fam, pio = sa.pio_family, sa.pio_t
         for a in fam:
             for u in sa.sp.topo.opens:
                 if not pio[a & u]:
-                    emit("set_pair", {"first": a, "second": u},
-                         {"pre_i_open(first)": True, "open(second)": True,
-                          "pre_i_open(intersection)": False}, None)
+                    found.append(("set_pair", {"first": a, "second": u},
+                                  {"pre_i_open(first)": True, "open(second)": True,
+                                   "pre_i_open(intersection)": False}, None))
         return len(fam) * len(sa.sp.topo.opens)
     if cid == "t5.iii":
-        fam, alpha = sa.pio_family, sa.ta.alpha_family
+        fam, alpha, po = sa.pio_family, sa.ta.alpha_family, sa.ta.preopen_t
         for a in fam:
             for b in alpha:
                 if not po[a & b]:
-                    emit("set_pair", {"first": a, "second": b},
-                         {"pre_i_open(first)": True, "alpha_open(second)": True,
-                          "preopen(intersection)": False}, None)
+                    found.append(("set_pair", {"first": a, "second": b},
+                                  {"pre_i_open(first)": True, "alpha_open(second)": True,
+                                   "preopen(intersection)": False}, None))
         return len(fam) * len(alpha)
     if cid == "t5.iv" or cid == "t5.v":
         fam, semi = sa.pio_family, sa.ta.semi_family
@@ -389,9 +387,9 @@ def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, direction: str, emit)
                 cut = sub.restrict(a & b)
                 ok = sta.semi_t[cut] if cid == "t5.iv" else sta.preopen_t[cut]
                 if not ok:
-                    emit("set_pair", {"first": a, "second": b},
-                         {"pre_i_open(first)": True, "semi_open(second)": True,
-                          "holds_in_subspace": False}, None)
+                    found.append(("set_pair", {"first": a, "second": b},
+                                  {"pre_i_open(first)": True, "semi_open(second)": True,
+                                   "holds_in_subspace": False}, None))
         return visited
     if cid == "l1":
         star = sa.star_t
@@ -399,9 +397,9 @@ def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, direction: str, emit)
             for a in range(size):
                 rel = star[u & a]
                 if u & star[a] != u & rel or (u & star[a]) & ~rel:
-                    emit("set_pair", {"first": u, "second": a},
-                         {"equality": u & star[a] == u & rel,
-                          "containment": (u & star[a]) & ~rel == 0}, None)
+                    found.append(("set_pair", {"first": u, "second": a},
+                                  {"equality": u & star[a] == u & rel,
+                                   "containment": (u & star[a]) & ~rel == 0}, None))
         return len(sa.sp.topo.opens) * size
     if cid == "c1.i":
         picl = sa.piclosed_t
@@ -409,9 +407,9 @@ def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, direction: str, emit)
         for a in fam:
             for b in fam:
                 if not picl[a & b]:
-                    emit("set_pair", {"first": a, "second": b},
-                         {"pre_i_closed(first)": True, "pre_i_closed(second)": True,
-                          "pre_i_closed(intersection)": False}, None)
+                    found.append(("set_pair", {"first": a, "second": b},
+                                  {"pre_i_closed(first)": True, "pre_i_closed(second)": True,
+                                   "pre_i_closed(intersection)": False}, None))
         return len(fam) * len(fam)
     if cid == "c1.ii":
         picl = sa.piclosed_t
@@ -420,35 +418,35 @@ def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, direction: str, emit)
         for a in fam:
             for c in closed:
                 if not picl[a | c]:
-                    emit("set_pair", {"first": a, "second": c},
-                         {"pre_i_closed(first)": True, "closed(second)": True,
-                          "pre_i_closed(union)": False}, None)
+                    found.append(("set_pair", {"first": a, "second": c},
+                                  {"pre_i_closed(first)": True, "closed(second)": True,
+                                   "pre_i_closed(union)": False}, None))
         return len(fam) * len(closed)
     if cid == "t4.i" or cid == "t4.iii":
         if sa.pio_family != sa.ta.preopen_family:
-            emit("set_family",
-                 {"pio_family": sa.pio_family, "expected": sa.ta.preopen_family},
-                 {"families_equal": False}, None)
+            found.append(("set_family",
+                          {"pio_family": sa.pio_family, "expected": sa.ta.preopen_family},
+                          {"families_equal": False}, None))
         return 1
     if cid == "t4.ii" or cid == "submax":
         if sa.pio_family != sa.sp.topo.opens:
-            emit("set_family",
-                 {"pio_family": sa.pio_family, "expected": sa.sp.topo.opens},
-                 {"families_equal": False}, None)
+            found.append(("set_family",
+                          {"pio_family": sa.pio_family, "expected": sa.sp.topo.opens},
+                          {"families_equal": False}, None))
         return 1
     if cid == "isi_consistency":
         gen = sa.sp.ideal.gen
         if gen == sa.full:
             if not sa.props.i_strongly_irresolvable:
-                emit("set_family", {"ideal": "maximal"},
-                     {"i_strongly_irresolvable": False}, None)
+                found.append(("set_family", {"ideal": "maximal"},
+                              {"i_strongly_irresolvable": False}, None))
             return 1
         if gen == 0:
-            classical = all(a in opens for a in sa.pio_family)
+            classical = all(a in sa.sp.topo.opens_set for a in sa.pio_family)
             if sa.props.i_strongly_irresolvable != classical:
-                emit("set_family", {"ideal": "minimal"},
-                     {"i_strongly_irresolvable": sa.props.i_strongly_irresolvable,
-                      "pio_inside_tau": classical}, None)
+                found.append(("set_family", {"ideal": "minimal"},
+                              {"i_strongly_irresolvable": sa.props.i_strongly_irresolvable,
+                               "pio_inside_tau": classical}, None))
             return 1
         return 0
     raise UnknownTheoremId(cid)
@@ -581,25 +579,31 @@ def _sweep_sets(n, items, topo_lo, topo_hi, max_witnesses):
     acc = _Accumulator(items, max_witnesses)
     topos = topologies(n)
     spaces = 0
+    rowed = [(key, check, direction, hypothesis, SET_ROWS.get(check.id))
+             for key, check, direction, hypothesis in items]
+    found: list[tuple] = []   # violations of one check on one space
     for ti in range(topo_lo, topo_hi):
         ta = TopologyAnalysis(topos[ti])
         for ideal in ideals(n):
             sa = SpaceAnalysis(IdealSpace(topos[ti], ideal), ta)
             spaces += 1
-            base = _space_data(sa)
-            for key, check, direction, hypothesis in items:
-                if not _space_passes(sa, hypothesis):
+            for key, check, direction, hypothesis, row in rowed:
+                if hypothesis != "none" and not _space_passes(sa, hypothesis):
                     continue
-
-                def emit(kind, data, trace, viol_direction, _key=key, _check=check):
-                    acc.emit(_key, Witness(
-                        n=n, kind=kind, check_id=_check.id,
-                        direction=viol_direction, claim=None,
-                        data=base + tuple(sorted(data.items())),
-                        trace=tuple(sorted(trace.items())),
-                    ))
-
-                acc.visited[key] += _run_set_check(check, sa, direction, emit)
+                if row is not None:
+                    acc.visited[key] += _run_set_row(row, sa, direction, found)
+                else:
+                    acc.visited[key] += _run_set_check(check, sa, found)
+                if found:
+                    base = _space_data(sa)
+                    for kind, data, trace, viol_direction in found:
+                        acc.emit(key, Witness(
+                            n=n, kind=kind, check_id=check.id,
+                            direction=viol_direction, claim=None,
+                            data=base + tuple(sorted(data.items())),
+                            trace=tuple(sorted(trace.items())),
+                        ))
+                    found.clear()
     return acc, {"spaces": spaces}
 
 
@@ -812,6 +816,8 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
     """Sweep every enumerated structure at carrier size `bound` through the
     selected checks; returns a deterministic report."""
     started = time.monotonic()
+    if max_witnesses < 0:
+        raise TopoidealError(f"max_witnesses must be >= 0, got {max_witnesses}")
     rows = resolve_selection(selection, direction, hypothesis)
     if isinstance(selection, str):
         tokens = [tok.strip() for tok in selection.split(",") if tok.strip()]
@@ -833,7 +839,8 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
         raise UnknownTheoremId("empty selection")
 
     n_topos = len(topologies(bound))
-    jobs = max(1, min(jobs, n_topos))
+    # never more workers than usable cores, whatever the caller asks for
+    jobs = max(1, min(jobs, n_topos, len(os.sched_getaffinity(0))))
     if jobs == 1:
         partials = [_sweep_partition((bound, kept, 0, n_topos, max_witnesses))]
     else:
@@ -1063,8 +1070,8 @@ def _replay_set_check(cid: str, direction: str | None, sp: IdealSpace, data: dic
             return (is_pre_i_open(sp, a) and topo.is_open(b)
                     and not is_pre_i_open(sp, a & b))
         if cid == "t5.iii":
-            alpha = b & ~_int3(topo, b) == 0
-            return is_pre_i_open(sp, a) and alpha and not is_preopen(topo, a & b)
+            return (is_pre_i_open(sp, a) and is_alpha_open(topo, b)
+                    and not is_preopen(topo, a & b))
         if cid in ("t5.iv", "t5.v"):
             if not (is_pre_i_open(sp, a) and is_semi_open(topo, b)):
                 return False
@@ -1100,11 +1107,6 @@ def _replay_set_check(cid: str, direction: str | None, sp: IdealSpace, data: dic
         classical = all(topo.is_open(m) for m in pio_family(sp))
         return props.i_strongly_irresolvable != classical
     raise UnknownTheoremId(cid)
-
-
-def _int3(topo, b):
-    from .core import closure, interior
-    return interior(topo, closure(topo, interior(topo, b)))
 
 
 def _replay_map_check(cid: str, direction: str | None, f: SpaceMap) -> bool:

@@ -13,6 +13,7 @@ import itertools
 
 import hypothesis.strategies as st
 
+from topoideal.classes import set_classes
 from topoideal.core import (
     FiniteTopology,
     IdealSpace,
@@ -20,8 +21,10 @@ from topoideal.core import (
     make_ideal,
     make_topology,
     principal_ideal,
+    space_props,
     submasks,
 )
+from topoideal.verify import CheckResult, Report, Witness
 
 
 def mask(letters: str) -> int:
@@ -157,3 +160,67 @@ def spaces(draw, min_n: int = 1, max_n: int = 4):
     topo = make_topology(n, opens)
     gen = draw(st.integers(0, full_mask(n)))
     return IdealSpace(topo, principal_ideal(n, gen))
+
+
+# Reference sweep for the per-subset checks: every subset of every space,
+# classified one at a time by the definitional set_classes.  Each entry is
+# (traced flags, forward violation, backward violation or None) over a flag
+# dict.
+SET_CHECK_ORACLES = {
+    "t1": (("i_open", "pre_i_open"),
+           lambda v: v["i_open"] and not v["pre_i_open"], None),
+    "t2": (("open", "pre_i_open"),
+           lambda v: v["open"] and not v["pre_i_open"], None),
+    "t3": (("pre_i_open", "preopen"),
+           lambda v: v["pre_i_open"] and not v["preopen"], None),
+    "tt6": (("i_open", "pre_i_open", "star_dense_in_itself"),
+            lambda v: v["i_open"] and not (v["pre_i_open"] and v["star_dense_in_itself"]),
+            lambda v: v["pre_i_open"] and v["star_dense_in_itself"] and not v["i_open"]),
+    "tt42": (("open", "pre_i_open", "i_locally_closed"),
+             lambda v: v["open"] and not (v["pre_i_open"] and v["i_locally_closed"]),
+             lambda v: v["pre_i_open"] and v["i_locally_closed"] and not v["open"]),
+    "star_perfect_remark": (("star_perfect", "open", "i_open", "pre_i_open"),
+                            lambda v: v["star_perfect"]
+                            and not (v["open"] == v["i_open"] == v["pre_i_open"]),
+                            None),
+}
+
+
+def reference_set_report(n: int, check_id: str, direction: str, hypothesis: str,
+                         max_witnesses: int = 25, corrupt=None) -> Report:
+    """The report run_theorem_suite should give for one per-subset check.
+
+    corrupt maps flag names to a constant that replaces the flag on every
+    subset, mirroring a packed family forced to that value.
+    """
+    atoms, fwd, bwd = SET_CHECK_ORACLES[check_id]
+    legs = [("fwd", fwd), ("bwd", bwd)] if bwd is not None else [(None, fwd)]
+    if direction != "both":
+        legs = [leg for leg in legs if leg[0] == direction]
+    visited = violations = 0
+    witnesses = []
+    spaces = all_spaces_bruteforce(n)
+    for sp in spaces:
+        if hypothesis == "hayashi_samuels" and not space_props(sp).hayashi_samuels:
+            continue
+        for a in range(1 << n):
+            visited += 1
+            flags = set_classes(sp, a).as_dict()
+            flags.update(corrupt or {})
+            for leg, violated in legs:
+                if not violated(flags):
+                    continue
+                violations += 1
+                if len(witnesses) < max_witnesses:
+                    witnesses.append(Witness(
+                        n=n, kind="set", check_id=check_id, direction=leg, claim=None,
+                        data=(("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen),
+                              ("subset", a)),
+                        trace=tuple(sorted((atom, flags[atom]) for atom in atoms)),
+                    ))
+    key = check_id if direction == "both" else f"{check_id}.{direction}"
+    return Report(
+        bound=n, selection=(key,), scope_counts=(("spaces", len(spaces)),),
+        results=(CheckResult(check_id, direction, hypothesis, visited, violations,
+                             tuple(witnesses)),),
+        skipped=(), wall_time=0.0)
