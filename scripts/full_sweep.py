@@ -11,7 +11,7 @@ partitions the sweeps across processes.
 import argparse
 import sys
 
-from topoideal.verify import run_theorem_suite
+from topoideal.verify import REGISTRY, run_theorem_suite
 
 
 def main() -> int:
@@ -21,11 +21,10 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
-    set_selection = ["t1", "t2", "t3", "t4", "t5", "c1", "l1", "tt6", "tt42",
-                     "submax", "star_perfect_remark", "x_always_pio",
-                     "isi_consistency"]
-    map_selection = ["tt1", "tt2", "tt3", "tt4", "tt5", "tt7", "tt41", "tt43",
-                     "grt1"]
+    set_selection = [cid for cid, check in REGISTRY.items()
+                     if check.scope.startswith("set")]
+    map_selection = [cid for cid, check in REGISTRY.items()
+                     if check.scope.startswith("map")]
 
     ok = True
     for label, bound, selection in (

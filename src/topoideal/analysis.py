@@ -1,18 +1,24 @@
 """Precomputed predicate tables over all subsets of one space.
 
 TopologyAnalysis holds the ideal-free tables (shared by every ideal on the
-same topology), SpaceAnalysis the ideal-dependent ones.  A table is either
-a list indexed by subset mask or, for the predicates the set sweep checks,
-a packed family: an int whose bit m is set iff subset m has the property
-(the `*_bits` tables; the matching `*_t` lists are unpacked from them).
-Everything is lazy, so a sweep only pays for the predicates its selected
-checks consult.  These tables are the fast route; topoideal.classes holds
-the definitional route, and the test suite pins the two against each other.
+same topology), SpaceAnalysis the ideal-dependent ones.  Most tables are
+packed families: an int whose bit m is set iff subset m has the property
+(the `*_bits` tables).  Lists indexed by subset mask (`*_t`) are kept only
+where the pair, family and composition checks index them.  Everything is
+lazy, so a sweep only pays for the predicates its selected checks consult.
+
+SET_ATOMS maps every set atom of the claim grammar to its packed family and
+MAP_ATOMS every map atom to the domain family its preimages are tested
+against.  These tables are the fast route; topoideal.classes and
+topoideal.maps hold the definitional route, and the test suite pins the
+two against each other.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import attrgetter
+from typing import Callable
 
 from .core import (
     FiniteTopology,
@@ -24,7 +30,6 @@ from .core import (
     star_min_nbhd,
     subspace,
 )
-from .classes import ClassVector
 
 
 class lazy_table(cached_property):
@@ -43,9 +48,27 @@ class lazy_table(cached_property):
         return value
 
 
+def family_bits(masks) -> int:
+    """Packed family of the given subsets."""
+    out = 0
+    for m in masks:
+        out |= 1 << m
+    return out
+
+
+def _pack(flags) -> int:
+    """Packed family of a per-subset flag sequence."""
+    return family_bits(m for m, flag in enumerate(flags) if flag)
+
+
 def _unpack(packed: int, size: int) -> list[bool]:
     """Per-subset flag list of a packed family."""
     return [packed >> m & 1 == 1 for m in range(size)]
+
+
+def _complements(packed: int, full: int) -> int:
+    """Packed family of the complements of a packed family's members."""
+    return family_bits(full ^ m for m in bits(packed))
 
 
 class TopologyAnalysis:
@@ -78,69 +101,54 @@ class TopologyAnalysis:
 
     @lazy_table
     def regclosed_family(self) -> tuple[int, ...]:
-        cl, it = self.closure_t, self.interior_t
+        cl = self.closure_t
         return tuple(sorted({cl[u] for u in self.topo.opens}))
 
     @lazy_table
     def open_bits(self) -> int:
-        out = 0
-        for u in self.topo.opens:
-            out |= 1 << u
-        return out
+        return family_bits(self.topo.opens)
 
     @lazy_table
     def preopen_bits(self) -> int:
         it, cl = self.interior_t, self.closure_t
-        out = 0
-        for m in range(self.size):
-            if m & ~it[cl[m]] == 0:
-                out |= 1 << m
-        return out
+        return _pack(m & ~it[cl[m]] == 0 for m in range(self.size))
 
     @lazy_table
     def preopen_t(self) -> list[bool]:
         return _unpack(self.preopen_bits, self.size)
 
     @lazy_table
-    def semi_t(self) -> list[bool]:
+    def semi_bits(self) -> int:
         it, cl = self.interior_t, self.closure_t
-        return [m & ~cl[it[m]] == 0 for m in range(self.size)]
+        return _pack(m & ~cl[it[m]] == 0 for m in range(self.size))
 
     @lazy_table
-    def alpha_t(self) -> list[bool]:
+    def alpha_bits(self) -> int:
         it, cl = self.interior_t, self.closure_t
-        return [m & ~it[cl[it[m]]] == 0 for m in range(self.size)]
+        return _pack(m & ~it[cl[it[m]]] == 0 for m in range(self.size))
 
     @lazy_table
-    def beta_t(self) -> list[bool]:
+    def beta_bits(self) -> int:
         it, cl = self.interior_t, self.closure_t
-        return [m & ~cl[it[cl[m]]] == 0 for m in range(self.size)]
+        return _pack(m & ~cl[it[cl[m]]] == 0 for m in range(self.size))
 
     @lazy_table
-    def regclosed_t(self) -> list[bool]:
+    def regclosed_bits(self) -> int:
         it, cl = self.interior_t, self.closure_t
-        return [m == cl[it[m]] for m in range(self.size)]
+        return _pack(m == cl[it[m]] for m in range(self.size))
 
     @lazy_table
-    def dense_t(self) -> list[bool]:
+    def dense_bits(self) -> int:
         cl, full = self.closure_t, self.full
-        return [cl[m] == full for m in range(self.size)]
+        return _pack(cl[m] == full for m in range(self.size))
 
     @lazy_table
-    def lc_t(self) -> list[bool]:
-        out = [False] * self.size
-        for u in self.topo.opens:
-            for c in self.closed_family:
-                out[u & c] = True
-        return out
+    def lc_bits(self) -> int:
+        return family_bits(u & c for u in self.topo.opens for c in self.closed_family)
 
     @lazy_table
-    def aset_t(self) -> list[bool]:
-        out = [False] * self.size
-        for u in self.topo.opens:
-            for r in self.regclosed_family:
-                out[u & r] = True
-        return out
+    def aset_bits(self) -> int:
+        return family_bits(u & r for u in self.topo.opens for r in self.regclosed_family)
 
     @lazy_table
     def preopen_family(self) -> tuple[int, ...]:
@@ -148,18 +156,15 @@ class TopologyAnalysis:
 
     @lazy_table
     def semi_family(self) -> tuple[int, ...]:
-        t = self.semi_t
-        return tuple(m for m in range(self.size) if t[m])
+        return tuple(bits(self.semi_bits))
 
     @lazy_table
     def alpha_family(self) -> tuple[int, ...]:
-        t = self.alpha_t
-        return tuple(m for m in range(self.size) if t[m])
+        return tuple(bits(self.alpha_bits))
 
     @lazy_table
     def submaximal(self) -> bool:
-        dense, opens = self.dense_t, self.topo.opens_set
-        return all(not dense[m] or m in opens for m in range(self.size))
+        return self.dense_bits & ~self.open_bits == 0
 
     @lazy_table
     def nd_gen(self) -> int:
@@ -187,6 +192,7 @@ class SpaceAnalysis:
         self.n = sp.n
         self.full = sp.topo.full
         self.size = 1 << sp.n
+        self.all_bits = (1 << self.size) - 1
 
     @lazy_table
     def star_t(self) -> list[int]:
@@ -238,18 +244,6 @@ class SpaceAnalysis:
         return _unpack(self.pio_bits, self.size)
 
     @lazy_table
-    def io_t(self) -> list[bool]:
-        return _unpack(self.io_bits, self.size)
-
-    @lazy_table
-    def sdi_t(self) -> list[bool]:
-        return _unpack(self.sdi_bits, self.size)
-
-    @lazy_table
-    def perfect_t(self) -> list[bool]:
-        return _unpack(self.perfect_bits, self.size)
-
-    @lazy_table
     def pio_family(self) -> tuple[int, ...]:
         return tuple(bits(self.pio_bits))
 
@@ -265,6 +259,8 @@ class SpaceAnalysis:
     @lazy_table
     def ilc_bits(self) -> int:
         """Packed I-locally closed family: every U & V, U open, V star-perfect."""
+        # nested loops, not family_bits over a generator: this runs on every
+        # Hayashi-Samuels space of a tt42 sweep
         opens = self.sp.topo.opens
         out = 0
         for v in self.perfect_family:
@@ -273,16 +269,9 @@ class SpaceAnalysis:
         return out
 
     @lazy_table
-    def ilc_t(self) -> list[bool]:
-        return _unpack(self.ilc_bits, self.size)
-
-    @lazy_table
-    def ts_open_t(self) -> list[bool]:
+    def ts_open_bits(self) -> int:
         ms = star_min_nbhd(self.sp)
-        out = []
-        for m in range(self.size):
-            out.append(all(ms[x] & ~m == 0 for x in bits(m)))
-        return out
+        return _pack(all(ms[x] & ~m == 0 for x in bits(m)) for m in range(self.size))
 
     @lazy_table
     def hayashi_samuels(self) -> bool:
@@ -297,59 +286,70 @@ class SpaceAnalysis:
         if hs_trace != hs_star:
             raise RoutesDisagree(
                 f"Hayashi-Samuels: {hs_trace} from the opens, {hs_star} from X*")
-        ts = self.ts_open_t
         return SpaceProps(
             hayashi_samuels=hs_trace,
             submaximal=self.ta.submaximal,
-            i_strongly_irresolvable=all(ts[m] for m in self.pio_family),
+            i_strongly_irresolvable=self.pio_bits & ~self.ts_open_bits == 0,
         )
 
     @lazy_table
-    def pio_cover_ok_t(self) -> list[bool]:
+    def pio_cover_bits(self) -> int:
         """Every point of m lies in some pre-I-open set inside m (tt4 condition 2)."""
         fam = self.pio_family
-        out = []
-        for m in range(self.size):
-            ok = True
-            for x in bits(m):
-                bit = 1 << x
-                if not any(w & bit and w & ~m == 0 for w in fam):
-                    ok = False
-                    break
-            out.append(ok)
-        return out
+        return _pack(all(any(w >> x & 1 and w & ~m == 0 for w in fam) for x in bits(m))
+                     for m in range(self.size))
 
     @lazy_table
-    def cl_star_nbhd_ok_t(self) -> list[bool]:
+    def cl_star_nbhd_bits(self) -> int:
         """Cl_star(m) is a neighborhood of every point of m (tt4 condition 3)."""
         it, cs = self.ta.interior_t, self.cl_star_t
-        out = []
-        for m in range(self.size):
-            nb = it[cs[m]]
-            out.append(all(nb >> x & 1 for x in bits(m)))
-        return out
+        return _pack(m & ~it[cs[m]] == 0 for m in range(self.size))
 
-    def class_vector(self, a: int) -> ClassVector:
-        ta, full = self.ta, self.full
-        comp = full ^ a
-        return ClassVector(
-            open=a in self.sp.topo.opens_set,
-            closed=comp in self.sp.topo.opens_set,
-            dense=ta.dense_t[a],
-            preopen=ta.preopen_t[a],
-            semi_open=ta.semi_t[a],
-            alpha_open=ta.alpha_t[a],
-            beta_open=ta.beta_t[a],
-            regular_closed=ta.regclosed_t[a],
-            locally_closed=ta.lc_t[a],
-            a_set=ta.aset_t[a],
-            i_open=self.io_t[a],
-            i_closed=self.io_t[comp],
-            pre_i_open=self.pio_t[a],
-            pre_i_closed=self.pio_t[comp],
-            star_dense_in_itself=self.sdi_t[a],
-            star_perfect=self.perfect_t[a],
-            tau_star_open=self.ts_open_t[a],
-            tau_star_closed=self.ts_open_t[comp],
-            i_locally_closed=self.ilc_t[a],
-        )
+
+# set atom -> its packed family on a space: bit a is set iff subset a has the
+# flag; a space flag holds on every subset or on none
+SET_ATOMS: dict[str, Callable[[SpaceAnalysis], int]] = {
+    "open": attrgetter("ta.open_bits"),
+    "closed": lambda sa: _complements(sa.ta.open_bits, sa.full),
+    "dense": attrgetter("ta.dense_bits"),
+    "preopen": attrgetter("ta.preopen_bits"),
+    "semi_open": attrgetter("ta.semi_bits"),
+    "alpha_open": attrgetter("ta.alpha_bits"),
+    "beta_open": attrgetter("ta.beta_bits"),
+    "regular_closed": attrgetter("ta.regclosed_bits"),
+    "locally_closed": attrgetter("ta.lc_bits"),
+    "a_set": attrgetter("ta.aset_bits"),
+    "i_open": attrgetter("io_bits"),
+    "i_closed": lambda sa: _complements(sa.io_bits, sa.full),
+    "pre_i_open": attrgetter("pio_bits"),
+    "pre_i_closed": lambda sa: _complements(sa.pio_bits, sa.full),
+    "star_dense_in_itself": attrgetter("sdi_bits"),
+    "star_perfect": attrgetter("perfect_bits"),
+    "tau_star_open": attrgetter("ts_open_bits"),
+    "tau_star_closed": lambda sa: _complements(sa.ts_open_bits, sa.full),
+    "i_locally_closed": attrgetter("ilc_bits"),
+    "hayashi_samuels": lambda sa: sa.all_bits if sa.hayashi_samuels else 0,
+    "submaximal": lambda sa: sa.all_bits if sa.ta.submaximal else 0,
+    "i_strongly_irresolvable":
+        lambda sa: sa.all_bits if sa.props.i_strongly_irresolvable else 0,
+}
+
+# map atom -> (the domain family its preimages must lie in, the codomain
+# family whose preimages it tests).  cond4 tests closed sets against the
+# pre-I-closed family; preimages commute with complements, so it always
+# equals cond1.
+MAP_ATOMS: dict[str, tuple[Callable[[SpaceAnalysis], int], str]] = {
+    "continuous": (SET_ATOMS["open"], "opens"),
+    "precontinuous": (SET_ATOMS["preopen"], "opens"),
+    "pre_i_continuous": (SET_ATOMS["pre_i_open"], "opens"),
+    "i_continuous": (SET_ATOMS["i_open"], "opens"),
+    "star_i_continuous": (SET_ATOMS["star_dense_in_itself"], "opens"),
+    "lc_continuous": (SET_ATOMS["locally_closed"], "opens"),
+    "i_lc_continuous": (SET_ATOMS["i_locally_closed"], "opens"),
+    "a_continuous": (SET_ATOMS["a_set"], "opens"),
+    "beta_continuous": (SET_ATOMS["beta_open"], "opens"),
+    "cond1": (SET_ATOMS["pre_i_open"], "opens"),
+    "cond2": (attrgetter("pio_cover_bits"), "opens"),
+    "cond3": (attrgetter("cl_star_nbhd_bits"), "opens"),
+    "cond4": (SET_ATOMS["pre_i_closed"], "closed"),
+}

@@ -8,15 +8,27 @@ Grammar (whitespace insensitive, '=>' right-associative, ! > & > | > =>):
     not   := '!' not | atom | '(' expr ')'
     atom  := flag name from the published vocabulary
 
-Atoms are the set-class flags, the map-class flags, and the space
-property flags; which of them a search scope can evaluate is decided by
-the consumer via atoms_for_scope.
+Atoms are the set-class flags, the map-class flags, the space property
+flags, and tt4's four conditions `cond1`-`cond4`; which of them a search
+scope can evaluate is decided by the consumer via atoms_for_scope, which
+offers no tt4 condition.
+
+A parsed claim compiles once into a function of the atom values that
+reads each atom as a packed int, one bit per structure (from a mapping by
+default, or through any per-atom reader), and returns the packed truth of
+the claim.  `!x` is `~x` and `l => r` is `~l | r` on
+Python's unbounded ints, so masked with `full` (every structure's bit
+set) they are `full ^ x` and `(full ^ l) | r`.  With 0/1 values and
+full = 1 that is plain evaluation.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
+from typing import Any, Callable, Mapping
 
 from .core import TopoidealError
 from .classes import CLASS_FLAGS
@@ -24,7 +36,13 @@ from .maps import MAP_FLAGS
 
 SPACE_FLAGS = ("hayashi_samuels", "submaximal", "i_strongly_irresolvable")
 
-ALL_ATOMS = frozenset(CLASS_FLAGS) | frozenset(MAP_FLAGS) | frozenset(SPACE_FLAGS)
+# tt4: preimages of opens pre-I-open; every point has a pre-I-open set inside
+# the preimage; Cl*(preimage) is a neighborhood of its points; preimages of
+# closed sets pre-I-closed
+TT4_CONDITIONS = ("cond1", "cond2", "cond3", "cond4")
+
+ALL_ATOMS = (frozenset(CLASS_FLAGS) | frozenset(MAP_FLAGS) | frozenset(SPACE_FLAGS)
+             | frozenset(TT4_CONDITIONS))
 
 # image-side map classes need a codomain ideal, which search scopes do not carry
 SET_SCOPE_ATOMS = frozenset(CLASS_FLAGS) | frozenset(SPACE_FLAGS)
@@ -207,16 +225,33 @@ def atoms_of(node: Node) -> frozenset[str]:
     return atoms_of(node.left) | atoms_of(node.right)
 
 
-def evaluate(node: Node, values) -> bool:
+Packed = Callable[[Any], int]
+
+
+@lru_cache(maxsize=1024)
+def compile_claim(node: Node, leaf: Callable[[str], Packed] = itemgetter) -> Packed:
+    """The claim as a bitwise function of packed atom values; leaf(name)
+    gives the reader of one atom from the values (by default a mapping from
+    atom name to packed int).  Bit i of the result, for i below the values'
+    width, is the claim's truth on structure i; the bits above are not
+    meaningful, so read it masked with full."""
     if isinstance(node, Atom):
-        return bool(values[node.name])
+        return leaf(node.name)
     if isinstance(node, Not):
-        return not evaluate(node.operand, values)
+        inner = compile_claim(node.operand, leaf)
+        return lambda values: ~inner(values)
+    left, right = compile_claim(node.left, leaf), compile_claim(node.right, leaf)
     if isinstance(node, And):
-        return evaluate(node.left, values) and evaluate(node.right, values)
+        return lambda values: left(values) & right(values)
     if isinstance(node, Or):
-        return evaluate(node.left, values) or evaluate(node.right, values)
-    return (not evaluate(node.left, values)) or evaluate(node.right, values)
+        return lambda values: left(values) | right(values)
+    return lambda values: ~left(values) | right(values)
+
+
+def evaluate(node: Node, values: Mapping[str, bool]) -> bool:
+    """Truth of the claim on one structure: the 1-bit case of compile_claim."""
+    flags = {name: bool(values[name]) for name in atoms_of(node)}
+    return compile_claim(node)(flags) & 1 == 1
 
 
 def atoms_for_scope(scope: str) -> frozenset[str]:

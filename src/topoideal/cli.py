@@ -13,9 +13,9 @@ import json
 import os
 import sys
 
-from .analysis import SpaceAnalysis
+from .analysis import SET_ATOMS, SpaceAnalysis
 from .classes import CLASS_FLAGS, set_classes
-from .core import IdealSpace, TopoidealError, make_topology, principal_ideal
+from .core import IdealSpace, TopoidealError, bits, make_topology, principal_ideal
 from .files import (
     NamedSpace,
     default_names,
@@ -195,9 +195,7 @@ def cmd_tabulate(args) -> int:
         if flag not in CLASS_FLAGS:
             raise TopoidealError(f"unknown family {tok!r}; use class flags or "
                                  f"aliases {sorted(FAMILY_ALIASES)}")
-        members = [m for m in range(1 << named.space.n)
-                   if getattr(sa.class_vector(m), flag)]
-        rows[tok] = members
+        rows[tok] = list(bits(SET_ATOMS[flag](sa)))
     if args.json:
         print(json.dumps({tok: [named.format_set(m) for m in members]
                           for tok, members in rows.items()}, indent=2))

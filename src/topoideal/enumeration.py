@@ -6,10 +6,10 @@ partition of a sweep can run in parallel.  Topologies are enumerated
 labeled (not up to homeomorphism): the theorem sweeps quantify over
 labeled structures.
 
-Two independent routes produce topologies: a brute filter of all families
-containing the empty set and the carrier (used up to 4 points) and a
-generator of consistent minimal-neighborhood tables, i.e. preorders (used
-at 5 points, and as a cross-check below that).
+Topologies come from one route: a generator of consistent
+minimal-neighborhood tables, i.e. preorders, each giving its Alexandrov
+topology.  The test suite cross-checks it against a brute filter of all
+families containing the empty set and the carrier.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .core import (
     Ideal,
     TopoidealError,
     _topology_from_min_nbhd,
-    full_mask,
-    make_topology,
 )
 
 MAX_TOPOLOGY_POINTS = 5
@@ -63,27 +61,6 @@ def maps(dom_n: int, cod_n: int, budget: int = DEFAULT_MAP_BUDGET) -> tuple[tupl
     return tuple(itertools.product(range(cod_n), repeat=dom_n))
 
 
-def _topologies_by_family_filter(n: int) -> list[FiniteTopology]:
-    top = full_mask(n)
-    middles = [m for m in range(1 << n) if m not in (0, top)]
-    out = []
-    for picks in itertools.chain.from_iterable(
-            itertools.combinations(middles, k) for k in range(len(middles) + 1)):
-        fam = (0, top) + picks
-        fam_set = frozenset(fam)
-        ok = True
-        for i, a in enumerate(picks):
-            for b in picks[i + 1:]:
-                if (a | b) not in fam_set or (a & b) not in fam_set:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(make_topology(n, fam))
-    return out
-
-
 def _min_nbhd_tables(n: int) -> list[tuple[int, ...]]:
     """All consistent minimal-neighborhood tables: rows with x in row[x] such
     that membership implies row containment (a preorder, row = up-set)."""
@@ -115,7 +92,7 @@ def _min_nbhd_tables(n: int) -> list[tuple[int, ...]]:
 
 
 def topologies_by_preorder(n: int) -> tuple[FiniteTopology, ...]:
-    """Second enumeration route: Alexandrov topologies of all preorders."""
+    """Alexandrov topologies of all preorders on n points, sorted by opens."""
     if not 1 <= n <= MAX_TOPOLOGY_POINTS:
         raise CarrierTooLarge(f"topologies need 1 <= n <= {MAX_TOPOLOGY_POINTS}, got {n}")
     out = [_topology_from_min_nbhd(n, rows) for rows in _min_nbhd_tables(n)]
@@ -125,13 +102,7 @@ def topologies_by_preorder(n: int) -> tuple[FiniteTopology, ...]:
 
 @lru_cache(maxsize=None)
 def topologies(n: int) -> tuple[FiniteTopology, ...]:
-    """Every labeled topology on n points exactly once, sorted by opens."""
-    if not 1 <= n <= MAX_TOPOLOGY_POINTS:
-        raise CarrierTooLarge(f"topologies need 1 <= n <= {MAX_TOPOLOGY_POINTS}, got {n}")
-    if n <= 4:
-        out = _topologies_by_family_filter(n)
-        out.sort(key=lambda t: t.opens)
-        return tuple(out)
+    """Every labeled topology on n points exactly once, sorted by opens (cached)."""
     return topologies_by_preorder(n)
 
 

@@ -6,6 +6,13 @@ pairs, per-space family equalities, maps, or map pairs), an optional
 hypothesis filter, and, for biconditionals, two directions that can be
 run separately to map where each hypothesis is actually needed.
 
+Every single-subset and single-map check is a law: a claim in the grammar
+of topoideal.claims, one per direction.  The sweep evaluates a law on the
+packed atom families of one space at a time (every subset, or every
+codomain and map, at once) and reports where it fails; the claim search
+reports the first structure where a claim holds, on the same packed
+values; replay evaluates the same text on the definitional flags.
+
 Sweeps enumerate every labeled structure at a fixed carrier size in
 canonical order, so reports and first witnesses are reproducible
 byte for byte; wall time is therefore kept out of the machine form.
@@ -21,11 +28,10 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
-from typing import Callable
+from operator import itemgetter
 
 from . import claims as _claims
-from .analysis import SpaceAnalysis, TopologyAnalysis
+from .analysis import MAP_ATOMS, SET_ATOMS, SpaceAnalysis, TopologyAnalysis, family_bits
 from .classes import (
     is_alpha_open,
     is_pre_i_open,
@@ -41,6 +47,7 @@ from .core import (
     local_function,
     make_topology,
     principal_ideal,
+    space_props,
     subspace,
 )
 from .enumeration import ideals, maps, topologies
@@ -81,79 +88,117 @@ class TheoremCheck:
     id: str
     scope: str
     hypothesis: str
-    directional: bool
+    laws: tuple[str, ...]       # the law, or its forward and backward directions
     description: str
+
+    @property
+    def directional(self) -> bool:
+        return len(self.laws) == 2
 
 
 _REGISTRY_ROWS = (
-    ("t1", "sets", "none", False,
+    ("t1", "sets", "none", ("i_open => pre_i_open",),
      "every I-open set is pre-I-open"),
-    ("t2", "sets", "none", False,
+    ("t2", "sets", "none", ("open => pre_i_open",),
      "every open set is pre-I-open"),
-    ("t3", "sets", "none", False,
+    ("t3", "sets", "none", ("pre_i_open => preopen",),
      "every pre-I-open set is preopen"),
-    ("t4.i", "set_families", "minimal_ideal", False,
+    ("t4.i", "set_families", "minimal_ideal", (),
      "with the minimal ideal the pre-I-open sets are exactly the preopen sets"),
-    ("t4.ii", "set_families", "maximal_ideal", False,
+    ("t4.ii", "set_families", "maximal_ideal", (),
      "with the maximal ideal the pre-I-open sets are exactly the open sets"),
-    ("t4.iii", "set_families", "nowhere_dense_ideal", False,
+    ("t4.iii", "set_families", "nowhere_dense_ideal", (),
      "with the nowhere-dense ideal the pre-I-open sets are exactly the preopen sets"),
-    ("t5.i", "set_pairs", "none", False,
+    ("t5.i", "set_pairs", "none", (),
      "pre-I-open sets are closed under union (pairwise; families are finite)"),
-    ("t5.ii", "set_pairs", "none", False,
+    ("t5.ii", "set_pairs", "none", (),
      "a pre-I-open set intersected with an open set stays pre-I-open"),
-    ("t5.iii", "set_pairs", "none", False,
+    ("t5.iii", "set_pairs", "none", (),
      "a pre-I-open set intersected with an alpha-open set is preopen"),
-    ("t5.iv", "set_pairs", "none", False,
+    ("t5.iv", "set_pairs", "none", (),
      "pre-I-open A and semi-open B intersect to a semi-open subset of subspace A"),
-    ("t5.v", "set_pairs", "none", False,
+    ("t5.v", "set_pairs", "none", (),
      "pre-I-open A and semi-open B intersect to a preopen subset of subspace B"),
-    ("l1", "set_pairs", "none", False,
+    ("l1", "set_pairs", "none", (),
      "for open U: U & star(A) equals U & star(U & A) and lies inside star(U & A)"),
-    ("c1.i", "set_pairs", "none", False,
+    ("c1.i", "set_pairs", "none", (),
      "pre-I-closed sets are closed under intersection (pairwise; families are finite)"),
-    ("c1.ii", "set_pairs", "none", False,
+    ("c1.ii", "set_pairs", "none", (),
      "the union of a pre-I-closed set and a closed set is pre-I-closed"),
-    ("submax", "set_families", "submaximal", False,
+    ("submax", "set_families", "submaximal", (),
      "on a submaximal topology the pre-I-open sets equal the opens for every ideal"),
-    ("star_perfect_remark", "sets", "none", False,
+    ("star_perfect_remark", "sets", "none",
+     ("star_perfect => open & i_open & pre_i_open | !open & !i_open & !pre_i_open",),
      "for star-perfect sets: open, I-open and pre-I-open coincide"),
-    ("x_always_pio", "sets", "none", False,
+    ("x_always_pio", "sets", "none", ("pre_i_open",),
      "the whole carrier is always pre-I-open"),
-    ("isi_consistency", "set_families", "none", False,
+    ("isi_consistency", "set_families", "none", (),
      "strong irresolvability holds under the maximal ideal and reduces to "
      "'pre-I-open implies open' under the minimal ideal"),
-    ("tt6", "sets", "none", True,
+    ("tt6", "sets", "none",
+     ("i_open => pre_i_open & star_dense_in_itself",
+      "pre_i_open & star_dense_in_itself => i_open"),
      "I-open iff pre-I-open and star-dense-in-itself"),
-    ("tt42", "sets", "hayashi_samuels", True,
+    ("tt42", "sets", "hayashi_samuels",
+     ("open => pre_i_open & i_locally_closed",
+      "pre_i_open & i_locally_closed => open"),
      "on Hayashi-Samuels spaces: open iff pre-I-open and I-locally closed"),
-    ("tt1", "maps", "none", False,
+    ("tt1", "maps", "none", ("continuous => pre_i_continuous",),
      "every continuous map is pre-I-continuous"),
-    ("tt2", "maps", "none", False,
+    ("tt2", "maps", "none", ("i_continuous => pre_i_continuous",),
      "every I-continuous map is pre-I-continuous"),
-    ("tt3", "maps", "none", False,
+    ("tt3", "maps", "none", ("pre_i_continuous => precontinuous",),
      "every pre-I-continuous map is precontinuous"),
-    ("tt4", "maps", "none", False,
+    ("tt4", "maps", "none",
+     ("cond1 & cond2 & cond3 & cond4 | !cond1 & !cond2 & !cond3 & !cond4",),
      "the four formulations of pre-I-continuity agree"),
-    ("tt5.i", "map_pairs", "none", False,
+    ("tt5.i", "map_pairs", "none", (),
      "pre-I-continuous then continuous composes to pre-I-continuous"),
-    ("tt5.ii", "map_pairs", "none", False,
+    ("tt5.ii", "map_pairs", "none", (),
      "pre-I-continuous then continuous composes to precontinuous"),
-    ("tt7", "maps", "none", True,
+    ("tt7", "maps", "none",
+     ("i_continuous => pre_i_continuous & star_i_continuous",
+      "pre_i_continuous & star_i_continuous => i_continuous"),
      "I-continuous iff pre-I-continuous and star-I-continuous"),
-    ("tt41", "maps", "hayashi_samuels", False,
+    ("tt41", "maps", "hayashi_samuels", ("continuous => i_lc_continuous",),
      "on Hayashi-Samuels domains every continuous map is I-LC-continuous"),
-    ("tt43", "maps", "hayashi_samuels", True,
+    ("tt43", "maps", "hayashi_samuels",
+     ("continuous => pre_i_continuous & i_lc_continuous",
+      "pre_i_continuous & i_lc_continuous => continuous"),
      "on Hayashi-Samuels domains: continuous iff pre-I-continuous and I-LC-continuous"),
-    ("grt1.min", "maps", "minimal_ideal", True,
+    ("grt1.min", "maps", "minimal_ideal",
+     ("continuous => precontinuous & lc_continuous",
+      "precontinuous & lc_continuous => continuous"),
      "with the minimal ideal: continuous iff precontinuous and LC-continuous"),
-    ("grt1.nwd", "maps", "nowhere_dense_ideal", True,
+    ("grt1.nwd", "maps", "nowhere_dense_ideal",
+     ("continuous => precontinuous & a_continuous",
+      "precontinuous & a_continuous => continuous"),
      "with the nowhere-dense ideal: continuous iff precontinuous and A-continuous"),
 )
 
 REGISTRY: dict[str, TheoremCheck] = {
     row[0]: TheoremCheck(*row) for row in _REGISTRY_ROWS
 }
+
+# laws claimed of the whole carrier only, not of every subset
+_CARRIER_ONLY = frozenset({"x_always_pio"})
+_DIRECTIONS = ("fwd", "bwd")
+
+
+@lru_cache(maxsize=None)
+def _law(text: str, leaf) -> tuple[_claims.Packed, tuple[str, ...], tuple[_claims.Packed, ...]]:
+    """A law compiled to its packed evaluator, with its atoms sorted and
+    their readers."""
+    ast = _claims.parse_claim(text)
+    atoms = tuple(sorted(_claims.atoms_of(ast)))
+    return _claims.compile_claim(ast, leaf), atoms, tuple(leaf(atom) for atom in atoms)
+
+
+def _law_text(check: TheoremCheck, direction: str | None) -> str | None:
+    """The law a witness of this direction violates; None if there is none."""
+    if check.directional:
+        return dict(zip(_DIRECTIONS, check.laws)).get(direction)
+    return check.laws[0] if check.laws and direction is None else None
 
 
 def _space_passes(sa: SpaceAnalysis, hypothesis: str) -> bool:
@@ -174,7 +219,10 @@ def _space_passes(sa: SpaceAnalysis, hypothesis: str) -> bool:
 
 # --- witnesses and reports ---------------------------------------------------
 
-@dataclass(frozen=True)
+# slots: a sweep builds one per violation (97,602 on the map suite at 3
+# points without hypotheses), and without them each instance allocates its
+# attribute storage separately
+@dataclass(frozen=True, slots=True)
 class Witness:
     n: int
     kind: str                                   # set | set_pair | set_family | map | map_pair
@@ -274,79 +322,127 @@ class Report:
         return "\n".join(lines)
 
 
-# --- set-scope check runners --------------------------------------------------
+# --- packed atom values -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SetRow:
-    """A per-subset check over a space's packed families.
+class _SetPacking:
+    """Set atoms of one space packed over its subsets: bit a is subset a.
+    Laws read them straight off the SpaceAnalysis, whose lazy tables build
+    each family on first use."""
 
-    Each leg maps a SpaceAnalysis to the bitset of subsets that violate it;
-    a one-way check has only `fwd`.  A witness traces the row's atoms, read
-    at its subset.
+    kind = "set"
+    leaf = SET_ATOMS.__getitem__
+
+    def __init__(self, n: int):
+        self.structures = 1 << n
+        self.full = (1 << self.structures) - 1
+        self.subset_data = [(("subset", a),) for a in range(self.structures)]
+
+    def values(self, sa: SpaceAnalysis) -> SpaceAnalysis:
+        return sa
+
+    def data(self, bit: int) -> tuple[tuple[str, object], ...]:
+        return self.subset_data[bit]
+
+
+@lru_cache(maxsize=None)
+def _preimage_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """preimage mask of every codomain mask, for every point table on n points."""
+    return tuple(
+        tuple(sum(1 << x for x in range(n) if m >> tab[x] & 1) for m in range(1 << n))
+        for tab in maps(n, n))
+
+
+class _MapPacking:
+    """Map atoms of one domain space packed over (codomain, map) on n points:
+    bit ci * len(tabs) + mi is point table tabs[mi] into topology topos[ci],
+    so ascending bits follow the enumeration order.
+
+    A map atom holds iff every codomain set of its kind (opens, or closed
+    sets) pulls back into its domain family.  For one map the codomain
+    masks that pull back form a mask `good`, and the codomains it admits,
+    spread to their bit positions, are cached per `good`.
     """
 
-    atoms: tuple[str, ...]
-    fwd: Callable[[SpaceAnalysis], int]
-    bwd: Callable[[SpaceAnalysis], int] | None = None
+    kind = "map"
+    leaf = itemgetter
+    # entries per kind: every mask on 3 points fits, so only n = 4, where an
+    # entry is an 11 kB int, ever clears the cache
+    SPREAD_CACHE_LIMIT = 256
+
+    def __init__(self, n: int):
+        self.topos = topologies(n)
+        self.tabs = maps(n, n)
+        self.preims = _preimage_tables(n)
+        self.structures = len(self.topos) * len(self.tabs)
+        self.full = (1 << self.structures) - 1
+        self.cod_families = {
+            "opens": [family_bits(t.opens) for t in self.topos],
+            "closed": [family_bits(t.closed_sets()) for t in self.topos],
+        }
+        self.spreads: dict[str, dict[int, int]] = {"opens": {}, "closed": {}}
+        self.cod_data = [("cod_topology", t.opens) for t in self.topos]
+        self.map_data = [("map", tab) for tab in self.tabs]
+
+    def values(self, sa: SpaceAnalysis) -> _MapValues:
+        return _MapValues(self, sa)
+
+    def family(self, sa: SpaceAnalysis, atom: str) -> int:
+        if atom in _claims.SPACE_FLAGS:
+            return self.full if SET_ATOMS[atom](sa) else 0
+        domain, kind = MAP_ATOMS[atom]
+        fam = domain(sa)
+        spread = self.spreads[kind]
+        out = 0
+        for mi, pt in enumerate(self.preims):
+            good = 0
+            for v, p in enumerate(pt):
+                if fam >> p & 1:
+                    good |= 1 << v
+            packed = spread.get(good)
+            if packed is None:
+                if len(spread) >= self.SPREAD_CACHE_LIMIT:
+                    spread.clear()
+                packed = spread[good] = self._spread(kind, good)
+            out |= packed << mi
+        return out
+
+    def _spread(self, kind: str, good: int) -> int:
+        stride = len(self.tabs)
+        out = 0
+        for ci, fam in enumerate(self.cod_families[kind]):
+            if fam & ~good == 0:
+                out |= 1 << (ci * stride)
+        return out
+
+    def data(self, bit: int) -> tuple[tuple[str, object], ...]:
+        ci, mi = divmod(bit, len(self.tabs))
+        return self.cod_data[ci], self.map_data[mi]
 
 
-# trace atom -> the packed family it reads
-_SET_ATOM_BITS: dict[str, Callable[[SpaceAnalysis], int]] = {
-    "open": attrgetter("ta.open_bits"),
-    "preopen": attrgetter("ta.preopen_bits"),
-    "pre_i_open": attrgetter("pio_bits"),
-    "i_open": attrgetter("io_bits"),
-    "star_dense_in_itself": attrgetter("sdi_bits"),
-    "star_perfect": attrgetter("perfect_bits"),
-    "i_locally_closed": attrgetter("ilc_bits"),
-}
+class _MapValues(dict):
+    """Packed map atoms of one domain space, each built on first read."""
 
-SET_ROWS: dict[str, SetRow] = {
-    "t1": SetRow(("i_open", "pre_i_open"),
-                 lambda s: s.io_bits & ~s.pio_bits),
-    "t2": SetRow(("open", "pre_i_open"),
-                 lambda s: s.ta.open_bits & ~s.pio_bits),
-    "t3": SetRow(("pre_i_open", "preopen"),
-                 lambda s: s.pio_bits & ~s.ta.preopen_bits),
-    "tt6": SetRow(("i_open", "pre_i_open", "star_dense_in_itself"),
-                  lambda s: s.io_bits & ~(s.pio_bits & s.sdi_bits),
-                  lambda s: s.pio_bits & s.sdi_bits & ~s.io_bits),
-    "tt42": SetRow(("open", "pre_i_open", "i_locally_closed"),
-                   lambda s: s.ta.open_bits & ~(s.pio_bits & s.ilc_bits),
-                   lambda s: s.pio_bits & s.ilc_bits & ~s.ta.open_bits),
-    "star_perfect_remark": SetRow(
-        ("star_perfect", "open", "i_open", "pre_i_open"),
-        lambda s: s.perfect_bits & ((s.ta.open_bits ^ s.io_bits) | (s.io_bits ^ s.pio_bits))),
-}
+    def __init__(self, packing: _MapPacking, sa: SpaceAnalysis):
+        self.packing, self.sa = packing, sa
+
+    def __missing__(self, atom: str) -> int:
+        value = self[atom] = self.packing.family(self.sa, atom)
+        return value
 
 
-def _run_set_row(row: SetRow, sa: SpaceAnalysis, direction: str, found: list) -> int:
-    """Evaluate one row on one space; returns the number of subsets visited.
-    Each violation is appended to found as (kind, data, trace, direction)."""
-    fwd = row.fwd(sa) if direction != "bwd" else 0
-    bwd = row.bwd(sa) if row.bwd is not None and direction != "fwd" else 0
-    if fwd | bwd:
-        # the legs are disjoint, so one ascending pass keeps subset order
-        values = [(atom, _SET_ATOM_BITS[atom](sa)) for atom in row.atoms]
-        for a in bits(fwd | bwd):
-            found.append((
-                "set", {"subset": a},
-                {atom: packed >> a & 1 == 1 for atom, packed in values},
-                None if row.bwd is None else "fwd" if fwd >> a & 1 else "bwd",
-            ))
-    return sa.size
+@lru_cache(maxsize=None)
+def _packing(scope: str, n: int) -> _SetPacking | _MapPacking:
+    return _SetPacking(n) if scope == "sets" else _MapPacking(n)
 
+
+# --- pair and family checks ---------------------------------------------------
 
 def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, found: list) -> int:
-    """Run one space's worth of instances of a check without a row; returns
+    """Run one space's worth of instances of a check without a law; returns
     the number visited.  Each violation is appended to found as
     (kind, data, trace, direction)."""
     cid = check.id
     size = sa.size
-    if cid == "x_always_pio":
-        if not sa.pio_bits >> sa.full & 1:
-            found.append(("set", {"subset": sa.full}, {"pre_i_open": False}, None))
-        return 1
     if cid == "t5.i":
         fam, pio = sa.pio_family, sa.pio_t
         for a in fam:
@@ -385,7 +481,7 @@ def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, found: list) -> int:
                 visited += 1
                 sub, sta = sa.ta.sub_tables(carrier)
                 cut = sub.restrict(a & b)
-                ok = sta.semi_t[cut] if cid == "t5.iv" else sta.preopen_t[cut]
+                ok = sta.semi_bits >> cut & 1 if cid == "t5.iv" else sta.preopen_t[cut]
                 if not ok:
                     found.append(("set_pair", {"first": a, "second": b},
                                   {"pre_i_open(first)": True, "semi_open(second)": True,
@@ -452,110 +548,6 @@ def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, found: list) -> int:
     raise UnknownTheoremId(cid)
 
 
-# --- map-scope machinery -------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _preimage_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """preimage mask of every codomain mask, for every point table on n points."""
-    tables = []
-    for tab in maps(n, n):
-        row = []
-        for m in range(1 << n):
-            pm = 0
-            for x in range(n):
-                if m >> tab[x] & 1:
-                    pm |= 1 << x
-            row.append(pm)
-        tables.append(tuple(row))
-    return tuple(tables)
-
-
-_MAP_FLAG_NEEDS = {
-    "tt1": ("continuous", "pre_i_continuous"),
-    "tt2": ("i_continuous", "pre_i_continuous"),
-    "tt3": ("pre_i_continuous", "precontinuous"),
-    "tt4": ("cond1", "cond2", "cond3", "cond4"),
-    "tt7": ("i_continuous", "pre_i_continuous", "star_i_continuous"),
-    "tt41": ("continuous", "i_lc_continuous"),
-    "tt43": ("continuous", "pre_i_continuous", "i_lc_continuous"),
-    "grt1.min": ("continuous", "precontinuous", "lc_continuous"),
-    "grt1.nwd": ("continuous", "precontinuous", "a_continuous"),
-}
-
-
-def _compute_map_flags(sa: SpaceAnalysis, cod_opens, cod_closed, pt, needed) -> dict[str, bool]:
-    flags = {}
-    opens_set = sa.sp.topo.opens_set
-    if "continuous" in needed:
-        flags["continuous"] = all(pt[v] in opens_set for v in cod_opens)
-    if "precontinuous" in needed:
-        t = sa.ta.preopen_t
-        flags["precontinuous"] = all(t[pt[v]] for v in cod_opens)
-    if "pre_i_continuous" in needed:
-        t = sa.pio_t
-        flags["pre_i_continuous"] = all(t[pt[v]] for v in cod_opens)
-    if "i_continuous" in needed:
-        t = sa.io_t
-        flags["i_continuous"] = all(t[pt[v]] for v in cod_opens)
-    if "star_i_continuous" in needed:
-        t = sa.sdi_t
-        flags["star_i_continuous"] = all(t[pt[v]] for v in cod_opens)
-    if "lc_continuous" in needed:
-        t = sa.ta.lc_t
-        flags["lc_continuous"] = all(t[pt[v]] for v in cod_opens)
-    if "i_lc_continuous" in needed:
-        t = sa.ilc_t
-        flags["i_lc_continuous"] = all(t[pt[v]] for v in cod_opens)
-    if "a_continuous" in needed:
-        t = sa.ta.aset_t
-        flags["a_continuous"] = all(t[pt[v]] for v in cod_opens)
-    if "beta_continuous" in needed:
-        t = sa.ta.beta_t
-        flags["beta_continuous"] = all(t[pt[v]] for v in cod_opens)
-    if "cond1" in needed:
-        t = sa.pio_t
-        flags["cond1"] = all(t[pt[v]] for v in cod_opens)
-    if "cond2" in needed:
-        t = sa.pio_cover_ok_t
-        flags["cond2"] = all(t[pt[v]] for v in cod_opens)
-    if "cond3" in needed:
-        t = sa.cl_star_nbhd_ok_t
-        flags["cond3"] = all(t[pt[v]] for v in cod_opens)
-    if "cond4" in needed:
-        t = sa.piclosed_t
-        flags["cond4"] = all(t[pt[c]] for c in cod_closed)
-    return flags
-
-
-def _map_check_violation(cid: str, direction: str, f: dict[str, bool]) -> str | None:
-    """Return the violated direction, or None."""
-    if cid == "tt1":
-        return "both" if f["continuous"] and not f["pre_i_continuous"] else None
-    if cid == "tt2":
-        return "both" if f["i_continuous"] and not f["pre_i_continuous"] else None
-    if cid == "tt3":
-        return "both" if f["pre_i_continuous"] and not f["precontinuous"] else None
-    if cid == "tt4":
-        bits4 = (f["cond1"], f["cond2"], f["cond3"], f["cond4"])
-        return "both" if len(set(bits4)) != 1 else None
-    if cid == "tt41":
-        return "both" if f["continuous"] and not f["i_lc_continuous"] else None
-    if cid in ("tt7", "tt43", "grt1.min", "grt1.nwd"):
-        left, parts = {
-            "tt7": ("i_continuous", ("pre_i_continuous", "star_i_continuous")),
-            "tt43": ("continuous", ("pre_i_continuous", "i_lc_continuous")),
-            "grt1.min": ("continuous", ("precontinuous", "lc_continuous")),
-            "grt1.nwd": ("continuous", ("precontinuous", "a_continuous")),
-        }[cid]
-        right = all(f[p] for p in parts)
-        if direction in ("both", "fwd") and f[left] and not right:
-            return "fwd"
-        if direction in ("both", "bwd") and right and not f[left]:
-            return "bwd"
-        return None
-    raise UnknownTheoremId(cid)
-
-
 # --- sweep drivers -------------------------------------------------------------
 
 class _Accumulator:
@@ -571,85 +563,84 @@ class _Accumulator:
             self.witnesses[key].append(witness)
 
 
-def _space_data(sa: SpaceAnalysis) -> tuple[tuple[str, object], ...]:
-    return (("topology", sa.sp.topo.opens), ("ideal_gen", sa.sp.ideal.gen))
+@lru_cache(maxsize=1024)
+def _space_data(sp: IdealSpace) -> tuple[tuple[str, object], ...]:
+    """The space part of a witness's data, shared by the witnesses on it."""
+    return ("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen)
 
 
-def _sweep_sets(n, items, topo_lo, topo_hi, max_witnesses):
+def _legs(check: TheoremCheck, direction: str, leaf) -> list[tuple]:
+    """(witness direction, packed law, sorted law atoms, their readers) per
+    swept direction."""
+    swept = [d for d in _DIRECTIONS if direction in ("both", d)] if check.directional else [None]
+    return [(d, *_law(_law_text(check, d), leaf)) for d in swept]
+
+
+@lru_cache(maxsize=None)
+def _trace(atoms: tuple[str, ...], flags: tuple[int, ...]) -> tuple[tuple[str, bool], ...]:
+    """A witness trace, one object shared by every witness that has it."""
+    return tuple((atom, flag == 1) for atom, flag in zip(atoms, flags))
+
+
+def _sweep_spaces(packing, n, items, topo_lo, topo_hi, max_witnesses):
+    """Every domain space once, every selected check on it; returns the
+    accumulator and the structure counts."""
     acc = _Accumulator(items, max_witnesses)
     topos = topologies(n)
+    full = packing.full
+    prepared = []
+    for key, check, direction, hypothesis in items:
+        legs = _legs(check, direction, packing.leaf) if check.laws else ()
+        carrier_only = check.id in _CARRIER_ONLY
+        prepared.append((key, check, hypothesis, legs, tuple(leg[1] for leg in legs),
+                         1 << ((1 << n) - 1) if carrier_only else full,
+                         1 if carrier_only else packing.structures))
     spaces = 0
-    rowed = [(key, check, direction, hypothesis, SET_ROWS.get(check.id))
-             for key, check, direction, hypothesis in items]
-    found: list[tuple] = []   # violations of one check on one space
+    found: list[tuple] = []   # violations of one custom check on one space
     for ti in range(topo_lo, topo_hi):
         ta = TopologyAnalysis(topos[ti])
         for ideal in ideals(n):
             sa = SpaceAnalysis(IdealSpace(topos[ti], ideal), ta)
             spaces += 1
-            for key, check, direction, hypothesis, row in rowed:
+            # each atom is built on its first read, by a law the space admits
+            values = packing.values(sa)
+            for key, check, hypothesis, legs, laws, checked, per_space in prepared:
                 if hypothesis != "none" and not _space_passes(sa, hypothesis):
                     continue
-                if row is not None:
-                    acc.visited[key] += _run_set_row(row, sa, direction, found)
-                else:
+                if not legs:
                     acc.visited[key] += _run_set_check(check, sa, found)
-                if found:
-                    base = _space_data(sa)
-                    for kind, data, trace, viol_direction in found:
-                        acc.emit(key, Witness(
-                            n=n, kind=kind, check_id=check.id,
-                            direction=viol_direction, claim=None,
-                            data=base + tuple(sorted(data.items())),
-                            trace=tuple(sorted(trace.items())),
-                        ))
-                    found.clear()
-    return acc, {"spaces": spaces}
-
-
-def _sweep_maps(n, items, topo_lo, topo_hi, max_witnesses):
-    acc = _Accumulator(items, max_witnesses)
-    topos = topologies(n)
-    tabs = maps(n, n)
-    preims = _preimage_tables(n)
-    cod_opens_list = [t.opens for t in topos]
-    cod_closed_list = [t.closed_sets() for t in topos]
-    needed = set()
-    for _, check, _, _ in items:
-        needed.update(_MAP_FLAG_NEEDS[check.id])
-    spaces = structures = 0
-    for ti in range(topo_lo, topo_hi):
-        ta = TopologyAnalysis(topos[ti])
-        for ideal in ideals(n):
-            sa = SpaceAnalysis(IdealSpace(topos[ti], ideal), ta)
-            spaces += 1
-            base = _space_data(sa)
-            active = [(key, check, direction) for key, check, direction, hyp in items
-                      if _space_passes(sa, hyp)]
-            if not active:
-                structures += len(topos) * len(tabs)
-                continue
-            for ci in range(len(topos)):
-                cod_opens = cod_opens_list[ci]
-                cod_closed = cod_closed_list[ci]
-                cod_data = (("cod_topology", cod_opens),)
-                for mi, tab in enumerate(tabs):
-                    structures += 1
-                    flags = _compute_map_flags(sa, cod_opens, cod_closed, preims[mi], needed)
-                    for key, check, direction in active:
-                        viol = _map_check_violation(check.id, direction, flags)
-                        if viol is not None:
-                            used = {k: flags[k] for k in _MAP_FLAG_NEEDS[check.id]}
+                    if found:
+                        base = _space_data(sa.sp)
+                        for kind, data, trace, direction in found:
                             acc.emit(key, Witness(
-                                n=n, kind="map", check_id=check.id,
-                                direction=None if viol == "both" else viol,
-                                claim=None,
-                                data=base + cod_data + (("map", tab),),
-                                trace=tuple(sorted(used.items())),
+                                n=n, kind=kind, check_id=check.id,
+                                direction=direction, claim=None,
+                                data=base + tuple(sorted(data.items())),
+                                trace=tuple(sorted(trace.items())),
                             ))
-            for key, _, _ in active:
-                acc.visited[key] += len(topos) * len(tabs)
-    return acc, {"spaces": spaces, "map_structures": structures}
+                        found.clear()
+                    continue
+                acc.visited[key] += per_space
+                failing = 0
+                for law in laws:
+                    failing |= checked & ~law(values)
+                if not failing:
+                    continue
+                base = _space_data(sa.sp)
+                bad = [checked & ~law(values) for law in laws]
+                for bit in bits(failing):
+                    # a structure failing both legs is reported for the first
+                    direction, _, atoms, readers = next(
+                        leg for leg, b in zip(legs, bad) if b >> bit & 1)
+                    acc.emit(key, Witness(
+                        n=n, kind=packing.kind, check_id=check.id,
+                        direction=direction, claim=None,
+                        data=base + packing.data(bit),
+                        trace=_trace(atoms, tuple(read(values) >> bit & 1 for read in readers)),
+                    ))
+    if packing.kind == "map":
+        return acc, {"spaces": spaces, "map_structures": spaces * packing.structures}
+    return acc, {"spaces": spaces}
 
 
 def _sweep_map_pairs(n, items, topo_lo, topo_hi, max_witnesses):
@@ -681,7 +672,7 @@ def _sweep_map_pairs(n, items, topo_lo, topo_hi, max_witnesses):
                       if _space_passes(sa, hyp)]
             if not active:
                 continue
-            base = _space_data(sa)
+            base = _space_data(sa.sp)
             pio_t, po_t = sa.pio_t, sa.ta.preopen_t
             pic_cache: dict[tuple[int, int], bool] = {}
             pc_cache: dict[tuple[int, int], bool] = {}
@@ -726,13 +717,9 @@ def _sweep_map_pairs(n, items, topo_lo, topo_hi, max_witnesses):
     return acc, {"spaces": spaces, "map_pairs_checked": checked}
 
 
-_SCOPE_DRIVERS = {
-    "sets": _sweep_sets,
-    "set_pairs": _sweep_sets,
-    "set_families": _sweep_sets,
-    "maps": _sweep_maps,
-    "map_pairs": _sweep_map_pairs,
-}
+# the sweep that runs each scope's checks
+_SCOPE_SWEEPS = {"sets": "sets", "set_pairs": "sets", "set_families": "sets",
+                 "maps": "maps", "map_pairs": "map_pairs"}
 
 
 def _sweep_partition(args):
@@ -740,15 +727,19 @@ def _sweep_partition(args):
     n, resolved, topo_lo, topo_hi, max_witnesses = args
     out = {}
     counts: dict[str, int] = {}
-    for scope in ("sets", "maps", "map_pairs"):
+    for sweep in ("sets", "maps", "map_pairs"):
         scope_items = [
             (key, REGISTRY[cid], direction, hypothesis)
             for key, cid, direction, hypothesis in resolved
-            if _SCOPE_DRIVERS[REGISTRY[cid].scope] is _SCOPE_DRIVERS[scope]
+            if _SCOPE_SWEEPS[REGISTRY[cid].scope] == sweep
         ]
         if not scope_items:
             continue
-        acc, sc = _SCOPE_DRIVERS[scope](n, scope_items, topo_lo, topo_hi, max_witnesses)
+        if sweep == "map_pairs":
+            acc, sc = _sweep_map_pairs(n, scope_items, topo_lo, topo_hi, max_witnesses)
+        else:
+            acc, sc = _sweep_spaces(_packing(sweep, n), n, scope_items, topo_lo, topo_hi,
+                                    max_witnesses)
         for k, v in sc.items():
             counts[k] = max(counts.get(k, 0), v) if k == "spaces" else counts.get(k, 0) + v
         for key, *_ in scope_items:
@@ -894,21 +885,11 @@ def check_direction(check_id: str, direction: str, hypothesis: str | None = None
 
 # --- claim search ----------------------------------------------------------------
 
-def _space_atom_values(sa: SpaceAnalysis, needed) -> dict[str, bool]:
-    out = {}
-    if "hayashi_samuels" in needed:
-        out["hayashi_samuels"] = sa.hayashi_samuels
-    if "submaximal" in needed:
-        out["submaximal"] = sa.ta.submaximal
-    if "i_strongly_irresolvable" in needed:
-        out["i_strongly_irresolvable"] = sa.props.i_strongly_irresolvable
-    return out
-
-
 def find_counterexample(claim, scope: str, bound: int,
                         max_witnesses: int = 1) -> Witness | None:
     """First structure, in enumeration order over carriers 1..bound, that
-    satisfies the claim; None when the scope is exhausted."""
+    satisfies the claim; None when the scope is exhausted.  The claim is
+    evaluated on the packed values the sweep uses, a space at a time."""
     ast = _claims.parse_claim(claim) if isinstance(claim, str) else claim
     text = _claims.print_claim(ast)
     atoms = _claims.atoms_of(ast)
@@ -916,56 +897,24 @@ def find_counterexample(claim, scope: str, bound: int,
     for name in sorted(atoms):
         if name not in allowed:
             raise _claims.UnknownAtom(name, f"not available in scope {scope!r}")
-    space_atoms = atoms & frozenset(_claims.SPACE_FLAGS)
     for n in range(1, bound + 1):
-        topos = topologies(n)
-        if scope == "sets":
-            for topo in topos:
-                ta = TopologyAnalysis(topo)
-                for ideal in ideals(n):
-                    sa = SpaceAnalysis(IdealSpace(topo, ideal), ta)
-                    values = _space_atom_values(sa, space_atoms)
-                    for a in range(1 << n):
-                        vec = sa.class_vector(a).as_dict()
-                        vec.update(values)
-                        if _claims.evaluate(ast, vec):
-                            return Witness(
-                                n=n, kind="set", check_id=None, direction=None,
-                                claim=text,
-                                data=(("topology", topo.opens),
-                                      ("ideal_gen", ideal.gen), ("subset", a)),
-                                trace=tuple(sorted(
-                                    (name, bool(vec[name])) for name in atoms)),
-                            )
-        elif scope == "maps":
-            tabs = maps(n, n)
-            preims = _preimage_tables(n)
-            flag_atoms = atoms - space_atoms
-            for topo in topos:
-                ta = TopologyAnalysis(topo)
-                for ideal in ideals(n):
-                    sa = SpaceAnalysis(IdealSpace(topo, ideal), ta)
-                    values = _space_atom_values(sa, space_atoms)
-                    for cod in topos:
-                        cod_opens = cod.opens
-                        cod_closed = cod.closed_sets()
-                        for mi, tab in enumerate(tabs):
-                            vec = _compute_map_flags(
-                                sa, cod_opens, cod_closed, preims[mi], flag_atoms)
-                            vec.update(values)
-                            if _claims.evaluate(ast, vec):
-                                return Witness(
-                                    n=n, kind="map", check_id=None, direction=None,
-                                    claim=text,
-                                    data=(("topology", topo.opens),
-                                          ("ideal_gen", ideal.gen),
-                                          ("cod_topology", cod.opens),
-                                          ("map", tab)),
-                                    trace=tuple(sorted(
-                                        (name, bool(vec[name])) for name in atoms)),
-                                )
-        else:
-            raise TopoidealError(f"unknown scope {scope!r}")
+        packing = _packing(scope, n)
+        holds = _claims.compile_claim(ast, packing.leaf)
+        readers = [(name, packing.leaf(name)) for name in sorted(atoms)]
+        for topo in topologies(n):
+            ta = TopologyAnalysis(topo)
+            for ideal in ideals(n):
+                sa = SpaceAnalysis(IdealSpace(topo, ideal), ta)
+                values = packing.values(sa)
+                hits = holds(values) & packing.full
+                if hits:
+                    bit = (hits & -hits).bit_length() - 1
+                    return Witness(
+                        n=n, kind=packing.kind, check_id=None, direction=None,
+                        claim=text, data=_space_data(sa.sp) + packing.data(bit),
+                        trace=tuple((name, read(values) >> bit & 1 == 1)
+                                    for name, read in readers),
+                    )
     return None
 
 
@@ -1033,32 +982,32 @@ def _rebuild_space(data: dict, n: int) -> IdealSpace:
     return IdealSpace(topo, principal_ideal(n, data["ideal_gen"]))
 
 
-def _rebuild_map(data: dict, n: int) -> SpaceMap:
+def _rebuild_pair(data: dict, n: int, mid_gen: int) -> tuple[SpaceMap, SpaceMap, SpaceMap]:
+    """Both hops of a map-pair witness and their composition."""
+    mid = make_topology(n, data["mid_topology"])
+    f = SpaceMap(_rebuild_space(data, n), mid, tuple(data["map_first"]))
+    g = SpaceMap(IdealSpace(mid, principal_ideal(n, mid_gen)),
+                 make_topology(n, data["cod_topology"]), tuple(data["map_second"]))
+    return f, g, compose(f, g)
+
+
+def _definitional_values(kind: str, data: dict, n: int) -> dict[str, bool]:
+    """Every atom of a set or map structure, from the definitional predicates."""
     sp = _rebuild_space(data, n)
-    cod = make_topology(n, data["cod_topology"])
-    return SpaceMap(sp, cod, tuple(data["map"]))
+    if kind == "set":
+        values = set_classes(sp, data["subset"]).as_dict()
+    else:
+        f = SpaceMap(sp, make_topology(n, data["cod_topology"]), tuple(data["map"]))
+        values = {k: v for k, v in map_classes(f).as_dict().items() if v is not None}
+        values.update(zip(_claims.TT4_CONDITIONS,
+                          check_pre_i_continuity_equivalences(f).bits))
+    props = space_props(sp)
+    values.update((name, getattr(props, name)) for name in _claims.SPACE_FLAGS)
+    return values
 
 
-def _replay_set_check(cid: str, direction: str | None, sp: IdealSpace, data: dict) -> bool:
-    if cid in ("t1", "t2", "t3", "tt6", "tt42", "star_perfect_remark", "x_always_pio"):
-        v = set_classes(sp, data.get("subset", sp.topo.full))
-        if cid == "t1":
-            return v.i_open and not v.pre_i_open
-        if cid == "t2":
-            return v.open and not v.pre_i_open
-        if cid == "t3":
-            return v.pre_i_open and not v.preopen
-        if cid == "tt6":
-            if direction == "bwd":
-                return v.pre_i_open and v.star_dense_in_itself and not v.i_open
-            return v.i_open and not (v.pre_i_open and v.star_dense_in_itself)
-        if cid == "tt42":
-            if direction == "bwd":
-                return v.pre_i_open and v.i_locally_closed and not v.open
-            return v.open and not (v.pre_i_open and v.i_locally_closed)
-        if cid == "star_perfect_remark":
-            return v.star_perfect and not (v.open == v.i_open == v.pre_i_open)
-        return not v.pre_i_open
+def _replay_set_check(cid: str, sp: IdealSpace, data: dict) -> bool:
+    """Replay of a set-pair or set-family witness."""
     topo = sp.topo
     full = topo.full
     if cid in ("t5.i", "t5.ii", "t5.iii", "t5.iv", "t5.v", "l1", "c1.i", "c1.ii"):
@@ -1100,7 +1049,6 @@ def _replay_set_check(cid: str, direction: str | None, sp: IdealSpace, data: dic
     if cid in ("t4.ii", "submax"):
         return pio_family(sp) != topo.opens
     if cid == "isi_consistency":
-        from .core import space_props
         props = space_props(sp)
         if sp.ideal.gen == full:
             return not props.i_strongly_irresolvable
@@ -1109,92 +1057,38 @@ def _replay_set_check(cid: str, direction: str | None, sp: IdealSpace, data: dic
     raise UnknownTheoremId(cid)
 
 
-def _replay_map_check(cid: str, direction: str | None, f: SpaceMap) -> bool:
-    if cid == "tt4":
-        return not check_pre_i_continuity_equivalences(f).agree
-    v = map_classes(f)
-    if cid == "tt1":
-        return v.continuous and not v.pre_i_continuous
-    if cid == "tt2":
-        return v.i_continuous and not v.pre_i_continuous
-    if cid == "tt3":
-        return v.pre_i_continuous and not v.precontinuous
-    if cid == "tt41":
-        return v.continuous and not v.i_lc_continuous
-    pairs = {
-        "tt7": (v.i_continuous, v.pre_i_continuous and v.star_i_continuous),
-        "tt43": (v.continuous, v.pre_i_continuous and v.i_lc_continuous),
-        "grt1.min": (v.continuous, v.precontinuous and v.lc_continuous),
-        "grt1.nwd": (v.continuous, v.precontinuous and v.a_continuous),
-    }
-    if cid in pairs:
-        left, right = pairs[cid]
-        if direction == "bwd":
-            return right and not left
-        if direction == "fwd":
-            return left and not right
-        return left != right
-    raise UnknownTheoremId(cid)
-
-
 def replay_witness(w: Witness) -> bool:
     """Re-evaluate a witness on freshly built objects through the definitional
     route; True when it still witnesses what it claims to."""
     data = w.data_dict()
-    if w.claim is not None and w.check_id is None:
-        if w.kind == "set":
-            sp = _rebuild_space(data, w.n)
-            from .core import space_props
-            vec = set_classes(sp, data["subset"]).as_dict()
-            props = space_props(sp)
-            vec.update({
-                "hayashi_samuels": props.hayashi_samuels,
-                "submaximal": props.submaximal,
-                "i_strongly_irresolvable": props.i_strongly_irresolvable,
-            })
-        elif w.kind == "map":
-            f = _rebuild_map(data, w.n)
-            vec = {k: v for k, v in map_classes(f).as_dict().items() if v is not None}
-            from .core import space_props
-            props = space_props(f.dom)
-            vec.update({
-                "hayashi_samuels": props.hayashi_samuels,
-                "submaximal": props.submaximal,
-                "i_strongly_irresolvable": props.i_strongly_irresolvable,
-            })
-        else:  # map_pair from the composition search
-            sp = _rebuild_space(data, w.n)
-            mid = make_topology(w.n, data["mid_topology"])
-            mid_sp = IdealSpace(mid, principal_ideal(w.n, data["mid_ideal_gen"]))
-            cod = make_topology(w.n, data["cod_topology"])
-            f = SpaceMap(sp, mid, tuple(data["map_first"]))
-            g = SpaceMap(mid_sp, cod, tuple(data["map_second"]))
-            h = compose(f, g)
-            return (map_classes(f).pre_i_continuous
-                    and map_classes(g).pre_i_continuous
-                    and not map_classes(h).pre_i_continuous)
-        ast = _claims.parse_claim(w.claim)
-        if not _claims.evaluate(ast, vec):
+    if w.kind in ("set", "map"):
+        # a claim witness satisfies its claim, a check witness violates its law;
+        # either way the trace must give the claim's atoms as they are
+        if w.check_id is None:
+            text, wanted = w.claim, True
+        else:
+            text, wanted = _law_text(REGISTRY[w.check_id], w.direction), False
+            if text is None:
+                return False
+            if w.check_id in _CARRIER_ONLY and data["subset"] != (1 << w.n) - 1:
+                return False
+        ast = _claims.parse_claim(text)
+        values = _definitional_values(w.kind, data, w.n)
+        if _claims.evaluate(ast, values) != wanted:
             return False
-        return all(vec[name] == value for name, value in w.trace)
-
+        return (tuple(name for name, _ in w.trace) == tuple(sorted(_claims.atoms_of(ast)))
+                and all(values[name] == value for name, value in w.trace))
+    if w.check_id is None:   # map_pair from the composition search
+        f, g, h = _rebuild_pair(data, w.n, data["mid_ideal_gen"])
+        return (map_classes(f).pre_i_continuous
+                and map_classes(g).pre_i_continuous
+                and not map_classes(h).pre_i_continuous)
     cid = w.check_id
-    scope = REGISTRY[cid].scope
-    if scope in ("sets", "set_pairs", "set_families"):
-        sp = _rebuild_space(data, w.n)
-        return _replay_set_check(cid, w.direction, sp, data)
-    if scope == "maps":
-        return _replay_map_check(cid, w.direction, _rebuild_map(data, w.n))
-    # map_pairs: rebuild both hops
-    sp = _rebuild_space(data, w.n)
-    mid = make_topology(w.n, data["mid_topology"])
-    cod = make_topology(w.n, data["cod_topology"])
-    f = SpaceMap(sp, mid, tuple(data["map_first"]))
-    g = SpaceMap(IdealSpace(mid, principal_ideal(w.n, 0)), cod, tuple(data["map_second"]))
-    h = compose(f, g)
-    if not map_classes(f).pre_i_continuous:
-        return False
-    if not map_classes(g).continuous:
+    if REGISTRY[cid].scope != "map_pairs":
+        return _replay_set_check(cid, _rebuild_space(data, w.n), data)
+    # tt5: the middle ideal is not quantified
+    f, g, h = _rebuild_pair(data, w.n, 0)
+    if not (map_classes(f).pre_i_continuous and map_classes(g).continuous):
         return False
     hv = map_classes(h)
     return not (hv.pre_i_continuous if cid == "tt5.i" else hv.precontinuous)

@@ -13,6 +13,7 @@ from topoideal.claims import (
     UnknownAtom,
     atoms_for_scope,
     atoms_of,
+    compile_claim,
     evaluate,
     parse_claim,
     print_claim,
@@ -118,3 +119,26 @@ def test_print_parse_round_trip(ast):
 def test_print_is_stable_fixed_point(ast):
     text = print_claim(ast)
     assert print_claim(parse_claim(text)) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_asts, st.integers(1, 40), st.randoms(use_true_random=False))
+def test_packed_claim_is_the_claim_on_every_bit(ast, width, rnd):
+    full = (1 << width) - 1
+    values = {name: rnd.getrandbits(width) for name in atoms_of(ast)}
+    packed = compile_claim(ast)(values) & full
+    for i in range(width):
+        flags = {name: v >> i & 1 == 1 for name, v in values.items()}
+        assert (packed >> i & 1 == 1) == evaluate(ast, flags)
+
+
+def test_packed_not_and_implies():
+    values = {"open": 0b0011, "closed": 0b0101}
+    assert compile_claim(parse_claim("!open"))(values) & 0b1111 == 0b1100
+    assert compile_claim(parse_claim("open => closed"))(values) & 0b1111 == 0b1101
+
+
+def test_tt4_conditions_parse_but_no_scope_searches_them():
+    assert atoms_of(parse_claim("cond1 => cond4")) == {"cond1", "cond4"}
+    assert not {"cond1", "cond2", "cond3", "cond4"} & (
+        atoms_for_scope("sets") | atoms_for_scope("maps"))

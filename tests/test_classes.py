@@ -23,6 +23,7 @@ from util import (
     closure_oracle,
     indiscrete,
     interior_oracle,
+    local_function_oracle,
     mask,
     s1_space,
     s2_space,
@@ -171,17 +172,45 @@ def test_star_perfect_collapses_open_i_open_pio():
                 assert v.open == v.i_open == v.pre_i_open
 
 
+def _assert_indexed_tables_match(sp):
+    # the tables the pair, family and composition checks index; the packed
+    # atom families are pinned in test_fast_route
+    sa = SpaceAnalysis(sp)
+    full = sp.topo.full
+    every = range(1 << sp.n)
+    for a in every:
+        v = set_classes(sp, a)
+        assert sa.pio_t[a] == v.pre_i_open
+        assert sa.piclosed_t[a] == v.pre_i_closed
+        assert sa.ta.preopen_t[a] == v.preopen
+        assert sa.star_t[a] == local_function_oracle(sp, a)
+        assert sa.ta.interior_t[a] == interior_oracle(sp.topo, a)
+        assert sa.ta.closure_t[a] == closure_oracle(sp.topo, a)
+    families = {
+        "pio_family": (sa.pio_family, "pre_i_open"),
+        "perfect_family": (sa.perfect_family, "star_perfect"),
+        "preopen_family": (sa.ta.preopen_family, "preopen"),
+        "semi_family": (sa.ta.semi_family, "semi_open"),
+        "alpha_family": (sa.ta.alpha_family, "alpha_open"),
+        "closed_family": (sa.ta.closed_family, "closed"),
+    }
+    for name, (family, flag) in families.items():
+        want = tuple(a for a in every if getattr(set_classes(sp, a), flag))
+        assert family == want, name
+    assert sa.ta.regclosed_family == tuple(
+        a for a in every if set_classes(sp, a).regular_closed)
+    assert sa.ta.nd_gen == nowhere_dense_ideal(sp.topo).gen
+    assert sa.ta.submaximal == all(sp.topo.is_open(a) for a in every
+                                   if closure_oracle(sp.topo, a) == full)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_analysis_tables_match_definitional_route(n):
     for sp in all_spaces_bruteforce(n):
-        sa = SpaceAnalysis(sp)
-        for a in range(1 << n):
-            assert sa.class_vector(a) == set_classes(sp, a)
+        _assert_indexed_tables_match(sp)
 
 
 @settings(max_examples=30, deadline=None)
 @given(spaces(max_n=4))
 def test_analysis_tables_match_definitional_route_random(sp):
-    sa = SpaceAnalysis(sp)
-    for a in range(1 << sp.n):
-        assert sa.class_vector(a) == set_classes(sp, a)
+    _assert_indexed_tables_match(sp)

@@ -1,11 +1,11 @@
 """The packed fast route of the set sweep against the definitional route.
 
-Packed families (the `*_bits` tables of topoideal.analysis) are pinned bit by
-bit to set_classes; every per-subset row of the sweep is pinned to a
-reference sweep that classifies one subset at a time; and forcing one packed
-family to a wrong value must make each row report witnesses.  The guards
-that replaced internal asserts and the bounds on user-chosen work are
-tested here too.
+Every set atom's packed family (topoideal.analysis.SET_ATOMS) is pinned bit
+by bit to set_classes and space_props; every set-scope law of the sweep is
+pinned to a reference sweep that classifies one subset at a time; and
+forcing one packed family to a wrong value must make each law report
+witnesses.  The guards that replaced internal asserts and the bounds on
+user-chosen work are tested here too.
 """
 
 import multiprocessing
@@ -17,8 +17,9 @@ from hypothesis import given, settings
 
 import topoideal.analysis as analysis
 import topoideal.core as core
-from topoideal.analysis import SpaceAnalysis, TopologyAnalysis, lazy_table
-from topoideal.classes import set_classes
+from topoideal.analysis import SET_ATOMS, SpaceAnalysis, TopologyAnalysis, lazy_table
+from topoideal.claims import SPACE_FLAGS
+from topoideal.classes import CLASS_FLAGS, set_classes
 from topoideal.cli import main
 from topoideal.core import (
     IdealSpace,
@@ -29,34 +30,31 @@ from topoideal.core import (
     principal_ideal,
     space_props,
 )
-from topoideal.verify import REGISTRY, SET_ROWS, run_theorem_suite
-from util import all_spaces_bruteforce, discrete, reference_set_report, spaces
-
-# packed family -> the set_classes flag it packs
-PACKED = {
-    "ta.open_bits": "open",
-    "ta.preopen_bits": "preopen",
-    "pio_bits": "pre_i_open",
-    "io_bits": "i_open",
-    "sdi_bits": "star_dense_in_itself",
-    "perfect_bits": "star_perfect",
-    "ilc_bits": "i_locally_closed",
-}
+from topoideal.verify import REGISTRY, run_theorem_suite
+from util import (
+    SET_CHECK_ORACLES,
+    all_spaces_bruteforce,
+    discrete,
+    reference_set_report,
+    spaces,
+)
 
 
-def _packed(sa, path):
-    owner, _, name = path.rpartition(".")
-    return getattr(sa.ta if owner else sa, name)
+def test_set_atoms_are_the_class_and_space_flags():
+    assert tuple(SET_ATOMS) == CLASS_FLAGS + SPACE_FLAGS
 
 
 def _assert_packed_match(sp):
     sa = SpaceAnalysis(sp)
+    props = space_props(sp)
+    packed = {atom: family(sa) for atom, family in SET_ATOMS.items()}
     for a in range(1 << sp.n):
-        v = set_classes(sp, a)
-        for path, flag in PACKED.items():
-            assert (_packed(sa, path) >> a & 1 == 1) == getattr(v, flag), (path, a)
-    for path in PACKED:
-        assert _packed(sa, path) >> (1 << sp.n) == 0, path
+        flags = set_classes(sp, a).as_dict()
+        flags.update((name, getattr(props, name)) for name in SPACE_FLAGS)
+        for atom, family in packed.items():
+            assert (family >> a & 1 == 1) == flags[atom], (atom, a)
+    for atom, family in packed.items():
+        assert family >> (1 << sp.n) == 0, atom
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -79,8 +77,12 @@ def test_lazy_tables_stay_cached_properties():
     assert sa.pio_bits is sa.__dict__["pio_bits"]
 
 
+# the set-scope checks that are laws over single subsets
+SET_LAWS = [cid for cid, check in REGISTRY.items() if check.scope == "sets"]
+
+
 def _row_cases():
-    for cid in SET_ROWS:
+    for cid in SET_LAWS:
         directions = ("both", "fwd", "bwd") if REGISTRY[cid].directional else ("both",)
         for direction in directions:
             for hypothesis in sorted({"none", REGISTRY[cid].hypothesis}):
@@ -95,8 +97,10 @@ def _token(cid, direction):
 
 
 def test_rows_are_the_per_subset_checks():
-    assert set(SET_ROWS) == {"t1", "t2", "t3", "tt6", "tt42", "star_perfect_remark"}
-    assert {cid for cid, _, _ in ROW_CASES} == set(SET_ROWS)
+    assert set(SET_LAWS) == {"t1", "t2", "t3", "tt6", "tt42", "star_perfect_remark",
+                             "x_always_pio"} == set(SET_CHECK_ORACLES)
+    assert all(REGISTRY[cid].laws for cid in SET_LAWS)
+    assert {cid for cid, _, _ in ROW_CASES} == set(SET_LAWS)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -107,8 +111,8 @@ def test_row_report_matches_reference_sweep(cid, direction, hypothesis, n):
     assert got.to_json() == want.to_json()
 
 
-# One packed family forced to 0 per row and direction; the forced value
-# breaks the check on the empty set of every space.
+# One packed family forced to 0 per law and direction; the forced value
+# breaks the check on the empty set (x_always_pio: the carrier) of every space.
 CORRUPTIONS = [
     ("t1", "both", "pio_bits", "pre_i_open"),
     ("t2", "both", "pio_bits", "pre_i_open"),
@@ -118,6 +122,7 @@ CORRUPTIONS = [
     ("tt42", "fwd", "pio_bits", "pre_i_open"),
     ("tt42", "bwd", "ta.open_bits", "open"),
     ("star_perfect_remark", "both", "pio_bits", "pre_i_open"),
+    ("x_always_pio", "both", "pio_bits", "pre_i_open"),
 ]
 
 

@@ -10,6 +10,7 @@ the suite.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import hypothesis.strategies as st
 
@@ -20,10 +21,12 @@ from topoideal.core import (
     full_mask,
     make_ideal,
     make_topology,
+    nowhere_dense_ideal,
     principal_ideal,
     space_props,
     submasks,
 )
+from topoideal.maps import SpaceMap, check_pre_i_continuity_equivalences, map_classes
 from topoideal.verify import CheckResult, Report, Witness
 
 
@@ -183,7 +186,10 @@ SET_CHECK_ORACLES = {
                             lambda v: v["star_perfect"]
                             and not (v["open"] == v["i_open"] == v["pre_i_open"]),
                             None),
+    "x_always_pio": (("pre_i_open",), lambda v: not v["pre_i_open"], None),
 }
+# checks claimed of the whole carrier only
+CARRIER_ONLY_ORACLES = {"x_always_pio"}
 
 
 def reference_set_report(n: int, check_id: str, direction: str, hypothesis: str,
@@ -203,7 +209,8 @@ def reference_set_report(n: int, check_id: str, direction: str, hypothesis: str,
     for sp in spaces:
         if hypothesis == "hayashi_samuels" and not space_props(sp).hayashi_samuels:
             continue
-        for a in range(1 << n):
+        subsets = [sp.topo.full] if check_id in CARRIER_ONLY_ORACLES else range(1 << n)
+        for a in subsets:
             visited += 1
             flags = set_classes(sp, a).as_dict()
             flags.update(corrupt or {})
@@ -221,6 +228,107 @@ def reference_set_report(n: int, check_id: str, direction: str, hypothesis: str,
     key = check_id if direction == "both" else f"{check_id}.{direction}"
     return Report(
         bound=n, selection=(key,), scope_counts=(("spaces", len(spaces)),),
+        results=(CheckResult(check_id, direction, hypothesis, visited, violations,
+                             tuple(witnesses)),),
+        skipped=(), wall_time=0.0)
+
+
+# Reference sweep for the map checks: every map on n points into every
+# codomain topology, classified one structure at a time by the definitional
+# map_classes and check_pre_i_continuity_equivalences.
+MAP_CHECK_ORACLES = {
+    "tt1": (("continuous", "pre_i_continuous"),
+            lambda v: v["continuous"] and not v["pre_i_continuous"], None),
+    "tt2": (("i_continuous", "pre_i_continuous"),
+            lambda v: v["i_continuous"] and not v["pre_i_continuous"], None),
+    "tt3": (("pre_i_continuous", "precontinuous"),
+            lambda v: v["pre_i_continuous"] and not v["precontinuous"], None),
+    "tt4": (("cond1", "cond2", "cond3", "cond4"),
+            lambda v: len({v["cond1"], v["cond2"], v["cond3"], v["cond4"]}) != 1, None),
+    "tt7": (("i_continuous", "pre_i_continuous", "star_i_continuous"),
+            lambda v: v["i_continuous"] and not (v["pre_i_continuous"] and v["star_i_continuous"]),
+            lambda v: v["pre_i_continuous"] and v["star_i_continuous"] and not v["i_continuous"]),
+    "tt41": (("continuous", "i_lc_continuous"),
+             lambda v: v["continuous"] and not v["i_lc_continuous"], None),
+    "tt43": (("continuous", "pre_i_continuous", "i_lc_continuous"),
+             lambda v: v["continuous"] and not (v["pre_i_continuous"] and v["i_lc_continuous"]),
+             lambda v: v["pre_i_continuous"] and v["i_lc_continuous"] and not v["continuous"]),
+    "grt1.min": (("continuous", "precontinuous", "lc_continuous"),
+                 lambda v: v["continuous"] and not (v["precontinuous"] and v["lc_continuous"]),
+                 lambda v: v["precontinuous"] and v["lc_continuous"] and not v["continuous"]),
+    "grt1.nwd": (("continuous", "precontinuous", "a_continuous"),
+                 lambda v: v["continuous"] and not (v["precontinuous"] and v["a_continuous"]),
+                 lambda v: v["precontinuous"] and v["a_continuous"] and not v["continuous"]),
+}
+
+HYPOTHESIS_ORACLES = {
+    "none": lambda sp: True,
+    "hayashi_samuels": lambda sp: space_props(sp).hayashi_samuels,
+    "minimal_ideal": lambda sp: sp.ideal.gen == 0,
+    "nowhere_dense_ideal": lambda sp: sp.ideal.gen == nowhere_dense_ideal(sp.topo).gen,
+}
+
+
+def map_flags(f: SpaceMap) -> dict[str, bool]:
+    """Every map atom of one map, tt4's conditions and the domain's space
+    flags, from the definitional route."""
+    flags = {k: v for k, v in map_classes(f).as_dict().items() if v is not None}
+    flags.update(zip(("cond1", "cond2", "cond3", "cond4"),
+                     check_pre_i_continuity_equivalences(f).bits))
+    props = space_props(f.dom)
+    flags.update(hayashi_samuels=props.hayashi_samuels, submaximal=props.submaximal,
+                 i_strongly_irresolvable=props.i_strongly_irresolvable)
+    return flags
+
+
+@lru_cache(maxsize=None)
+def all_map_structures(n: int) -> tuple:
+    """(domain space, codomain topology, point table, flags) for every map
+    structure on n points, in the sweep's order."""
+    tables = list(itertools.product(range(n), repeat=n))
+    return tuple(
+        (sp, cod, tab, map_flags(SpaceMap(sp, cod, tab)))
+        for sp in all_spaces_bruteforce(n)
+        for cod in all_topologies_bruteforce(n)
+        for tab in tables)
+
+
+def reference_map_report(n: int, check_id: str, direction: str, hypothesis: str,
+                         max_witnesses: int = 25, corrupt=None) -> Report:
+    """The report run_theorem_suite should give for one map check; corrupt
+    forces flags as in reference_set_report."""
+    atoms, fwd, bwd = MAP_CHECK_ORACLES[check_id]
+    legs = [("fwd", fwd), ("bwd", bwd)] if bwd is not None else [(None, fwd)]
+    if direction != "both":
+        legs = [leg for leg in legs if leg[0] == direction]
+    structures = all_map_structures(n)
+    visited = violations = 0
+    witnesses = []
+    admitted = {}
+    for sp, cod, tab, flags in structures:
+        key = (sp.topo.opens, sp.ideal.gen)
+        if key not in admitted:
+            admitted[key] = HYPOTHESIS_ORACLES[hypothesis](sp)
+        if not admitted[key]:
+            continue
+        visited += 1
+        flags = {**flags, **(corrupt or {})}
+        leg = next((name for name, violated in legs if violated(flags)), False)
+        if leg is False:
+            continue
+        violations += 1
+        if len(witnesses) < max_witnesses:
+            witnesses.append(Witness(
+                n=n, kind="map", check_id=check_id, direction=leg, claim=None,
+                data=(("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen),
+                      ("cod_topology", cod.opens), ("map", tab)),
+                trace=tuple(sorted((atom, flags[atom]) for atom in atoms)),
+            ))
+    n_spaces = len(all_spaces_bruteforce(n))
+    key = check_id if direction == "both" else f"{check_id}.{direction}"
+    return Report(
+        bound=n, selection=(key,),
+        scope_counts=(("map_structures", len(structures)), ("spaces", n_spaces)),
         results=(CheckResult(check_id, direction, hypothesis, visited, violations,
                              tuple(witnesses)),),
         skipped=(), wall_time=0.0)
