@@ -4,7 +4,7 @@ TopologyAnalysis holds the ideal-free tables (shared by every ideal on the
 same topology), SpaceAnalysis the ideal-dependent ones.  Most tables are
 packed families: an int whose bit m is set iff subset m has the property
 (the `*_bits` tables).  Lists indexed by subset mask (`*_t`) are kept only
-where the pair, family and composition checks index them.  Everything is
+where the custom pair and composition checks index them.  Everything is
 lazy, so a sweep only pays for the predicates its selected checks consult.
 
 SET_ATOMS maps every set atom of the claim grammar to its packed family and
@@ -68,7 +68,8 @@ def _unpack(packed: int, size: int) -> list[bool]:
 
 def _complements(packed: int, full: int) -> int:
     """Packed family of the complements of a packed family's members."""
-    return family_bits(full ^ m for m in bits(packed))
+    # full ^ m == full - m, so complementing every member reverses the bits
+    return int(format(packed, f"0{full + 1}b")[::-1], 2)
 
 
 class TopologyAnalysis:
@@ -94,10 +95,6 @@ class TopologyAnalysis:
     def closure_t(self) -> list[int]:
         it, full = self.interior_t, self.full
         return [full ^ it[full ^ m] for m in range(self.size)]
-
-    @lazy_table
-    def closed_family(self) -> tuple[int, ...]:
-        return self.topo.closed_sets()
 
     @lazy_table
     def regclosed_family(self) -> tuple[int, ...]:
@@ -144,23 +141,16 @@ class TopologyAnalysis:
 
     @lazy_table
     def lc_bits(self) -> int:
-        return family_bits(u & c for u in self.topo.opens for c in self.closed_family)
+        closed = self.topo.closed_sets()
+        return family_bits(u & c for u in self.topo.opens for c in closed)
 
     @lazy_table
     def aset_bits(self) -> int:
         return family_bits(u & r for u in self.topo.opens for r in self.regclosed_family)
 
     @lazy_table
-    def preopen_family(self) -> tuple[int, ...]:
-        return tuple(bits(self.preopen_bits))
-
-    @lazy_table
     def semi_family(self) -> tuple[int, ...]:
         return tuple(bits(self.semi_bits))
-
-    @lazy_table
-    def alpha_family(self) -> tuple[int, ...]:
-        return tuple(bits(self.alpha_bits))
 
     @lazy_table
     def submaximal(self) -> bool:
@@ -250,11 +240,6 @@ class SpaceAnalysis:
     @lazy_table
     def perfect_family(self) -> tuple[int, ...]:
         return tuple(bits(self.perfect_bits))
-
-    @lazy_table
-    def piclosed_t(self) -> list[bool]:
-        pio, full = self.pio_t, self.full
-        return [pio[full ^ m] for m in range(self.size)]
 
     @lazy_table
     def ilc_bits(self) -> int:

@@ -11,11 +11,14 @@ of topoideal.claims, one per direction.  The sweep evaluates a law on the
 packed atom families of one space at a time (every subset, or every
 codomain and map, at once) and reports where it fails; the claim search
 reports the first structure where a claim holds, on the same packed
-values; replay evaluates the same text on the definitional flags.
+values; replay evaluates the same text on the definitional flags.  The
+closure lemmas over subset pairs are pair laws and the family equalities
+are family laws, each one declaration over the same set atoms.
 
-Sweeps enumerate every labeled structure at a fixed carrier size in
-canonical order, so reports and first witnesses are reproducible
-byte for byte; wall time is therefore kept out of the machine form.
+A sweep visits every domain space of a carrier size once, in canonical
+order, and runs every selected check on it, so reports and first
+witnesses are reproducible byte for byte; wall time is therefore kept
+out of the machine form.
 Violation witnesses carry the full instance and replay through the
 definitional predicates in topoideal.classes / topoideal.maps, which is
 an independent route from the sweep's precomputed tables.
@@ -25,15 +28,16 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, partial
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from . import claims as _claims
 from .analysis import MAP_ATOMS, SET_ATOMS, SpaceAnalysis, TopologyAnalysis, family_bits
 from .classes import (
-    is_alpha_open,
     is_pre_i_open,
     is_preopen,
     is_semi_open,
@@ -63,10 +67,16 @@ SCOPE_DEFAULT_BOUND = {
     "sets": 4, "set_pairs": 4, "set_families": 4, "maps": 3, "map_pairs": 3,
 }
 
-HYPOTHESES = (
-    "none", "hayashi_samuels", "submaximal",
-    "minimal_ideal", "maximal_ideal", "nowhere_dense_ideal",
-)
+# hypothesis -> whether a space satisfies it
+_SPACE_PASSES = {
+    "none": lambda sa: True,
+    "hayashi_samuels": attrgetter("hayashi_samuels"),
+    "submaximal": attrgetter("ta.submaximal"),
+    "minimal_ideal": lambda sa: sa.sp.ideal.gen == 0,
+    "maximal_ideal": lambda sa: sa.sp.ideal.gen == sa.full,
+    "nowhere_dense_ideal": lambda sa: sa.sp.ideal.gen == sa.ta.nd_gen,
+}
+HYPOTHESES = tuple(_SPACE_PASSES)
 
 
 class UnknownTheoremId(TopoidealError):
@@ -83,12 +93,81 @@ class CarrierTooLargeForSuite(TopoidealError):
 
 # --- registry ----------------------------------------------------------------
 
+@lru_cache(maxsize=4096)
+def _unpacked(family: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A packed family's members, ascending, and its flag per subset; cached,
+    since a pair law meets the same few families on every space of a topology."""
+    flags = tuple(family >> m & 1 for m in range(size))
+    return tuple(m for m in range(size) if flags[m]), flags
+
+
+class _PairLaw(NamedTuple):
+    """first(a) & second(b) => conclusion(a op b) for every pair of subsets
+    (a, b) of a space, op being union or intersection."""
+
+    first: str
+    second: str
+    op: str
+    conclusion: str
+
+    kind = "set_pair"
+
+    def trace(self) -> dict[str, bool]:
+        return {f"{self.first}(first)": True, f"{self.second}(second)": True,
+                f"{self.conclusion}({self.op})": False}
+
+    def run(self, sa: SpaceAnalysis, found: list) -> int:
+        firsts = _unpacked(SET_ATOMS[self.first](sa), sa.size)[0]
+        seconds = _unpacked(SET_ATOMS[self.second](sa), sa.size)[0]
+        holds = _unpacked(SET_ATOMS[self.conclusion](sa), sa.size)[1]
+        # a comprehension per operation, so no operator call per pair
+        if self.op == "union":
+            bad = [(a, b) for a in firsts for b in seconds if not holds[a | b]]
+        else:
+            bad = [(a, b) for a in firsts for b in seconds if not holds[a & b]]
+        for a, b in bad:
+            found.append((self.kind, {"first": a, "second": b}, self.trace()))
+        return len(firsts) * len(seconds)
+
+    def replay(self, sp: IdealSpace, data: dict) -> bool:
+        a, b = data["first"], data["second"]
+        joined = a | b if self.op == "union" else a & b
+        return (getattr(set_classes(sp, a), self.first)
+                and getattr(set_classes(sp, b), self.second)
+                and not getattr(set_classes(sp, joined), self.conclusion))
+
+
+class _FamilyLaw(NamedTuple):
+    """The pre-I-open family of a space equals the family of `atom`."""
+
+    atom: str
+
+    kind = "set_family"
+
+    def trace(self) -> dict[str, bool]:
+        return {"families_equal": False}
+
+    def run(self, sa: SpaceAnalysis, found: list) -> int:
+        pio, expected = SET_ATOMS["pre_i_open"](sa), SET_ATOMS[self.atom](sa)
+        if pio != expected:
+            found.append((self.kind, {"pio_family": tuple(bits(pio)),
+                                      "expected": tuple(bits(expected))}, self.trace()))
+        return 1
+
+    def replay(self, sp: IdealSpace, data: dict) -> bool:
+        pio = pio_family(sp)
+        expected = tuple(m for m in range(1 << sp.n) if getattr(set_classes(sp, m), self.atom))
+        return pio != expected and data["pio_family"] == pio and data["expected"] == expected
+
+
 @dataclass(frozen=True)
 class TheoremCheck:
     id: str
     scope: str
     hypothesis: str
-    laws: tuple[str, ...]       # the law, or its forward and backward directions
+    # the law as a claim, or its forward and backward directions; or the
+    # declaration of a pair or family law; empty for a custom check
+    laws: tuple[str | _PairLaw | _FamilyLaw, ...]
     description: str
 
     @property
@@ -103,17 +182,20 @@ _REGISTRY_ROWS = (
      "every open set is pre-I-open"),
     ("t3", "sets", "none", ("pre_i_open => preopen",),
      "every pre-I-open set is preopen"),
-    ("t4.i", "set_families", "minimal_ideal", (),
+    ("t4.i", "set_families", "minimal_ideal", (_FamilyLaw("preopen"),),
      "with the minimal ideal the pre-I-open sets are exactly the preopen sets"),
-    ("t4.ii", "set_families", "maximal_ideal", (),
+    ("t4.ii", "set_families", "maximal_ideal", (_FamilyLaw("open"),),
      "with the maximal ideal the pre-I-open sets are exactly the open sets"),
-    ("t4.iii", "set_families", "nowhere_dense_ideal", (),
+    ("t4.iii", "set_families", "nowhere_dense_ideal", (_FamilyLaw("preopen"),),
      "with the nowhere-dense ideal the pre-I-open sets are exactly the preopen sets"),
-    ("t5.i", "set_pairs", "none", (),
+    ("t5.i", "set_pairs", "none",
+     (_PairLaw("pre_i_open", "pre_i_open", "union", "pre_i_open"),),
      "pre-I-open sets are closed under union (pairwise; families are finite)"),
-    ("t5.ii", "set_pairs", "none", (),
+    ("t5.ii", "set_pairs", "none",
+     (_PairLaw("pre_i_open", "open", "intersection", "pre_i_open"),),
      "a pre-I-open set intersected with an open set stays pre-I-open"),
-    ("t5.iii", "set_pairs", "none", (),
+    ("t5.iii", "set_pairs", "none",
+     (_PairLaw("pre_i_open", "alpha_open", "intersection", "preopen"),),
      "a pre-I-open set intersected with an alpha-open set is preopen"),
     ("t5.iv", "set_pairs", "none", (),
      "pre-I-open A and semi-open B intersect to a semi-open subset of subspace A"),
@@ -121,11 +203,13 @@ _REGISTRY_ROWS = (
      "pre-I-open A and semi-open B intersect to a preopen subset of subspace B"),
     ("l1", "set_pairs", "none", (),
      "for open U: U & star(A) equals U & star(U & A) and lies inside star(U & A)"),
-    ("c1.i", "set_pairs", "none", (),
+    ("c1.i", "set_pairs", "none",
+     (_PairLaw("pre_i_closed", "pre_i_closed", "intersection", "pre_i_closed"),),
      "pre-I-closed sets are closed under intersection (pairwise; families are finite)"),
-    ("c1.ii", "set_pairs", "none", (),
+    ("c1.ii", "set_pairs", "none",
+     (_PairLaw("pre_i_closed", "closed", "union", "pre_i_closed"),),
      "the union of a pre-I-closed set and a closed set is pre-I-closed"),
-    ("submax", "set_families", "submaximal", (),
+    ("submax", "set_families", "submaximal", (_FamilyLaw("open"),),
      "on a submaximal topology the pre-I-open sets equal the opens for every ideal"),
     ("star_perfect_remark", "sets", "none",
      ("star_perfect => open & i_open & pre_i_open | !open & !i_open & !pre_i_open",),
@@ -194,27 +278,17 @@ def _law(text: str, leaf) -> tuple[_claims.Packed, tuple[str, ...], tuple[_claim
     return _claims.compile_claim(ast, leaf), atoms, tuple(leaf(atom) for atom in atoms)
 
 
-def _law_text(check: TheoremCheck, direction: str | None) -> str | None:
+def _law_text(check: TheoremCheck, direction: str | None) -> str | _PairLaw | _FamilyLaw | None:
     """The law a witness of this direction violates; None if there is none."""
     if check.directional:
         return dict(zip(_DIRECTIONS, check.laws)).get(direction)
     return check.laws[0] if check.laws and direction is None else None
 
 
-def _space_passes(sa: SpaceAnalysis, hypothesis: str) -> bool:
-    if hypothesis == "none":
-        return True
-    if hypothesis == "hayashi_samuels":
-        return sa.hayashi_samuels
-    if hypothesis == "submaximal":
-        return sa.ta.submaximal
-    if hypothesis == "minimal_ideal":
-        return sa.sp.ideal.gen == 0
-    if hypothesis == "maximal_ideal":
-        return sa.sp.ideal.gen == sa.full
-    if hypothesis == "nowhere_dense_ideal":
-        return sa.sp.ideal.gen == sa.ta.nd_gen
-    raise TopoidealError(f"unknown hypothesis {hypothesis!r}")
+def _declaration(check: TheoremCheck) -> _PairLaw | _FamilyLaw | None:
+    """The pair or family law a check declares; None for other checks."""
+    law = check.laws[0] if check.laws else None
+    return law if isinstance(law, (_PairLaw, _FamilyLaw)) else None
 
 
 # --- witnesses and reports ---------------------------------------------------
@@ -435,41 +509,13 @@ def _packing(scope: str, n: int) -> _SetPacking | _MapPacking:
     return _SetPacking(n) if scope == "sets" else _MapPacking(n)
 
 
-# --- pair and family checks ---------------------------------------------------
+# --- custom checks ----------------------------------------------------------------
 
 def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, found: list) -> int:
-    """Run one space's worth of instances of a check without a law; returns
-    the number visited.  Each violation is appended to found as
-    (kind, data, trace, direction)."""
+    """Run one space's worth of instances of a custom set check; returns the
+    number visited.  Each violation is appended to found as (kind, data,
+    trace)."""
     cid = check.id
-    size = sa.size
-    if cid == "t5.i":
-        fam, pio = sa.pio_family, sa.pio_t
-        for a in fam:
-            for b in fam:
-                if not pio[a | b]:
-                    found.append(("set_pair", {"first": a, "second": b},
-                                  {"pre_i_open(first)": True, "pre_i_open(second)": True,
-                                   "pre_i_open(union)": False}, None))
-        return len(fam) * len(fam)
-    if cid == "t5.ii":
-        fam, pio = sa.pio_family, sa.pio_t
-        for a in fam:
-            for u in sa.sp.topo.opens:
-                if not pio[a & u]:
-                    found.append(("set_pair", {"first": a, "second": u},
-                                  {"pre_i_open(first)": True, "open(second)": True,
-                                   "pre_i_open(intersection)": False}, None))
-        return len(fam) * len(sa.sp.topo.opens)
-    if cid == "t5.iii":
-        fam, alpha, po = sa.pio_family, sa.ta.alpha_family, sa.ta.preopen_t
-        for a in fam:
-            for b in alpha:
-                if not po[a & b]:
-                    found.append(("set_pair", {"first": a, "second": b},
-                                  {"pre_i_open(first)": True, "alpha_open(second)": True,
-                                   "preopen(intersection)": False}, None))
-        return len(fam) * len(alpha)
     if cid == "t5.iv" or cid == "t5.v":
         fam, semi = sa.pio_family, sa.ta.semi_family
         visited = 0
@@ -485,83 +531,101 @@ def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, found: list) -> int:
                 if not ok:
                     found.append(("set_pair", {"first": a, "second": b},
                                   {"pre_i_open(first)": True, "semi_open(second)": True,
-                                   "holds_in_subspace": False}, None))
+                                   "holds_in_subspace": False}))
         return visited
     if cid == "l1":
         star = sa.star_t
         for u in sa.sp.topo.opens:
-            for a in range(size):
+            for a in range(sa.size):
                 rel = star[u & a]
                 if u & star[a] != u & rel or (u & star[a]) & ~rel:
                     found.append(("set_pair", {"first": u, "second": a},
                                   {"equality": u & star[a] == u & rel,
-                                   "containment": (u & star[a]) & ~rel == 0}, None))
-        return len(sa.sp.topo.opens) * size
-    if cid == "c1.i":
-        picl = sa.piclosed_t
-        fam = [a for a in range(size) if picl[a]]
-        for a in fam:
-            for b in fam:
-                if not picl[a & b]:
-                    found.append(("set_pair", {"first": a, "second": b},
-                                  {"pre_i_closed(first)": True, "pre_i_closed(second)": True,
-                                   "pre_i_closed(intersection)": False}, None))
-        return len(fam) * len(fam)
-    if cid == "c1.ii":
-        picl = sa.piclosed_t
-        fam = [a for a in range(size) if picl[a]]
-        closed = sa.ta.closed_family
-        for a in fam:
-            for c in closed:
-                if not picl[a | c]:
-                    found.append(("set_pair", {"first": a, "second": c},
-                                  {"pre_i_closed(first)": True, "closed(second)": True,
-                                   "pre_i_closed(union)": False}, None))
-        return len(fam) * len(closed)
-    if cid == "t4.i" or cid == "t4.iii":
-        if sa.pio_family != sa.ta.preopen_family:
-            found.append(("set_family",
-                          {"pio_family": sa.pio_family, "expected": sa.ta.preopen_family},
-                          {"families_equal": False}, None))
-        return 1
-    if cid == "t4.ii" or cid == "submax":
-        if sa.pio_family != sa.sp.topo.opens:
-            found.append(("set_family",
-                          {"pio_family": sa.pio_family, "expected": sa.sp.topo.opens},
-                          {"families_equal": False}, None))
-        return 1
+                                   "containment": (u & star[a]) & ~rel == 0}))
+        return len(sa.sp.topo.opens) * sa.size
     if cid == "isi_consistency":
         gen = sa.sp.ideal.gen
         if gen == sa.full:
             if not sa.props.i_strongly_irresolvable:
                 found.append(("set_family", {"ideal": "maximal"},
-                              {"i_strongly_irresolvable": False}, None))
+                              {"i_strongly_irresolvable": False}))
             return 1
         if gen == 0:
             classical = all(a in sa.sp.topo.opens_set for a in sa.pio_family)
             if sa.props.i_strongly_irresolvable != classical:
                 found.append(("set_family", {"ideal": "minimal"},
                               {"i_strongly_irresolvable": sa.props.i_strongly_irresolvable,
-                               "pio_inside_tau": classical}, None))
+                               "pio_inside_tau": classical}))
             return 1
         return 0
     raise UnknownTheoremId(cid)
 
 
-# --- sweep drivers -------------------------------------------------------------
+class _MapPairSweep:
+    """tt5 on carriers of size n: both hops, with the middle ideal not
+    quantified, since no hypothesis or conclusion reads it.  Both legs share
+    one pass over the pairs of a domain space."""
 
-class _Accumulator:
-    def __init__(self, items, max_witnesses):
-        self.max_witnesses = max_witnesses
-        self.visited = {key: 0 for key, _, _, _ in items}
-        self.violations = {key: 0 for key, _, _, _ in items}
-        self.witnesses = {key: [] for key, _, _, _ in items}
+    def __init__(self, n: int):
+        self.topos = topos = topologies(n)
+        self.tabs = tabs = maps(n, n)
+        self.preims = preims = _preimage_tables(n)
+        tab_index = {t: i for i, t in enumerate(tabs)}
+        self.comp = [[tab_index[tuple(g[y] for y in f)] for g in tabs] for f in tabs]
+        opens_sets = [t.opens_set for t in topos]
+        # continuous second hops depend only on the two topologies
+        self.cont_pairs = [
+            [(ui, gi) for ui in range(len(topos)) for gi in range(len(tabs))
+             if all(preims[gi][w] in opens_sets[si] for w in topos[ui].opens)]
+            for si in range(len(topos))]
 
-    def emit(self, key, witness):
-        self.violations[key] += 1
-        if len(self.witnesses[key]) < self.max_witnesses:
-            self.witnesses[key].append(witness)
+    def run(self, sa: SpaceAnalysis, active: list, acc: dict, emit) -> int:
+        """Every pair on one domain space through the active legs, given as
+        (key, check), counted in acc and each violation passed to emit;
+        returns the number of pairs checked."""
+        n, topos, tabs, preims, comp = sa.n, self.topos, self.tabs, self.preims, self.comp
+        checked = 0
+        base = _space_data(sa.sp)
+        pio_t = sa.pio_t
+        # per leg: the table of its conclusion's family, and the verdicts per
+        # (codomain, composed map) it has seen on this space
+        legs = [(key, check.id, pio_t if check.id == "tt5.i" else sa.ta.preopen_t, {})
+                for key, check in active]
+        for si, pairs in enumerate(self.cont_pairs):
+            mid_opens = topos[si].opens
+            for fi, ptf in enumerate(preims):
+                if not all(pio_t[ptf[v]] for v in mid_opens):
+                    continue
+                checked += len(pairs)
+                comp_f = comp[fi]
+                for ui, gi in pairs:
+                    hi = comp_f[gi]
+                    key_h = (ui, hi)
+                    for key, cid, table, cache in legs:
+                        ok = cache.get(key_h)
+                        if ok is None:
+                            pth = preims[hi]
+                            ok = cache[key_h] = all(table[pth[w]] for w in topos[ui].opens)
+                        if not ok:
+                            emit(key, Witness(
+                                n=n, kind="map_pair", check_id=cid,
+                                direction=None, claim=None,
+                                data=base + (
+                                    ("mid_topology", topos[si].opens),
+                                    ("map_first", tabs[fi]),
+                                    ("cod_topology", topos[ui].opens),
+                                    ("map_second", tabs[gi]),
+                                ),
+                                trace=(("composition_conclusion", False),
+                                       ("first_pre_i_continuous", True),
+                                       ("second_continuous", True)),
+                            ))
+        for key, _ in active:
+            acc[key][0] += checked
+        return checked
 
+
+# --- the sweep -------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
 def _space_data(sp: IdealSpace) -> tuple[tuple[str, object], ...]:
@@ -582,172 +646,113 @@ def _trace(atoms: tuple[str, ...], flags: tuple[int, ...]) -> tuple[tuple[str, b
     return tuple((atom, flag == 1) for atom, flag in zip(atoms, flags))
 
 
-def _sweep_spaces(packing, n, items, topo_lo, topo_hi, max_witnesses):
-    """Every domain space once, every selected check on it; returns the
-    accumulator and the structure counts."""
-    acc = _Accumulator(items, max_witnesses)
-    topos = topologies(n)
-    full = packing.full
-    prepared = []
-    for key, check, direction, hypothesis in items:
-        legs = _legs(check, direction, packing.leaf) if check.laws else ()
-        carrier_only = check.id in _CARRIER_ONLY
-        prepared.append((key, check, hypothesis, legs, tuple(leg[1] for leg in legs),
-                         1 << ((1 << n) - 1) if carrier_only else full,
-                         1 if carrier_only else packing.structures))
-    spaces = 0
-    found: list[tuple] = []   # violations of one custom check on one space
-    for ti in range(topo_lo, topo_hi):
-        ta = TopologyAnalysis(topos[ti])
+def _spaces(n: int, topo_lo: int = 0, topo_hi: int | None = None):
+    """The SpaceAnalysis of every ideal space on n points whose topology
+    index lies in [topo_lo, topo_hi), in enumeration order; the spaces on
+    one topology share its TopologyAnalysis."""
+    for topo in topologies(n)[topo_lo:topo_hi]:
+        ta = TopologyAnalysis(topo)
         for ideal in ideals(n):
-            sa = SpaceAnalysis(IdealSpace(topos[ti], ideal), ta)
-            spaces += 1
-            # each atom is built on its first read, by a law the space admits
-            values = packing.values(sa)
-            for key, check, hypothesis, legs, laws, checked, per_space in prepared:
-                if hypothesis != "none" and not _space_passes(sa, hypothesis):
-                    continue
-                if not legs:
-                    acc.visited[key] += _run_set_check(check, sa, found)
-                    if found:
-                        base = _space_data(sa.sp)
-                        for kind, data, trace, direction in found:
-                            acc.emit(key, Witness(
-                                n=n, kind=kind, check_id=check.id,
-                                direction=direction, claim=None,
-                                data=base + tuple(sorted(data.items())),
-                                trace=tuple(sorted(trace.items())),
-                            ))
-                        found.clear()
-                    continue
-                acc.visited[key] += per_space
-                failing = 0
-                for law in laws:
-                    failing |= checked & ~law(values)
-                if not failing:
-                    continue
-                base = _space_data(sa.sp)
-                bad = [checked & ~law(values) for law in laws]
-                for bit in bits(failing):
-                    # a structure failing both legs is reported for the first
-                    direction, _, atoms, readers = next(
-                        leg for leg, b in zip(legs, bad) if b >> bit & 1)
-                    acc.emit(key, Witness(
-                        n=n, kind=packing.kind, check_id=check.id,
-                        direction=direction, claim=None,
-                        data=base + packing.data(bit),
-                        trace=_trace(atoms, tuple(read(values) >> bit & 1 for read in readers)),
-                    ))
-    if packing.kind == "map":
-        return acc, {"spaces": spaces, "map_structures": spaces * packing.structures}
-    return acc, {"spaces": spaces}
-
-
-def _sweep_map_pairs(n, items, topo_lo, topo_hi, max_witnesses):
-    """Both hops on carriers of size n; the middle ideal is irrelevant to the
-    hypotheses and conclusions and is not quantified."""
-    acc = _Accumulator(items, max_witnesses)
-    topos = topologies(n)
-    tabs = maps(n, n)
-    preims = _preimage_tables(n)
-    tab_index = {t: i for i, t in enumerate(tabs)}
-    comp = [[tab_index[tuple(g[y] for y in f)] for g in tabs] for f in tabs]
-    opens_sets = [t.opens_set for t in topos]
-    # continuous second hops depend only on the two topologies
-    cont_pairs = []
-    for si in range(len(topos)):
-        pairs = []
-        for ui in range(len(topos)):
-            for gi in range(len(tabs)):
-                if all(preims[gi][w] in opens_sets[si] for w in topos[ui].opens):
-                    pairs.append((ui, gi))
-        cont_pairs.append(pairs)
-    spaces = checked = 0
-    for ti in range(topo_lo, topo_hi):
-        ta = TopologyAnalysis(topos[ti])
-        for ideal in ideals(n):
-            sa = SpaceAnalysis(IdealSpace(topos[ti], ideal), ta)
-            spaces += 1
-            active = [(key, check) for key, check, _direction, hyp in items
-                      if _space_passes(sa, hyp)]
-            if not active:
-                continue
-            base = _space_data(sa.sp)
-            pio_t, po_t = sa.pio_t, sa.ta.preopen_t
-            pic_cache: dict[tuple[int, int], bool] = {}
-            pc_cache: dict[tuple[int, int], bool] = {}
-            for si in range(len(topos)):
-                mid_opens = topos[si].opens
-                for fi in range(len(tabs)):
-                    ptf = preims[fi]
-                    if not all(pio_t[ptf[v]] for v in mid_opens):
-                        continue
-                    for ui, gi in cont_pairs[si]:
-                        hi = comp[fi][gi]
-                        checked += 1
-                        key_h = (ui, hi)
-                        for key, check in active:
-                            if check.id == "tt5.i":
-                                ok = pic_cache.get(key_h)
-                                if ok is None:
-                                    pth = preims[hi]
-                                    ok = all(pio_t[pth[w]] for w in topos[ui].opens)
-                                    pic_cache[key_h] = ok
-                            else:
-                                ok = pc_cache.get(key_h)
-                                if ok is None:
-                                    pth = preims[hi]
-                                    ok = all(po_t[pth[w]] for w in topos[ui].opens)
-                                    pc_cache[key_h] = ok
-                            acc.visited[key] += 1
-                            if not ok:
-                                acc.emit(key, Witness(
-                                    n=n, kind="map_pair", check_id=check.id,
-                                    direction=None, claim=None,
-                                    data=base + (
-                                        ("mid_topology", topos[si].opens),
-                                        ("map_first", tabs[fi]),
-                                        ("cod_topology", topos[ui].opens),
-                                        ("map_second", tabs[gi]),
-                                    ),
-                                    trace=(("composition_conclusion", False),
-                                           ("first_pre_i_continuous", True),
-                                           ("second_continuous", True)),
-                                ))
-    return acc, {"spaces": spaces, "map_pairs_checked": checked}
-
-
-# the sweep that runs each scope's checks
-_SCOPE_SWEEPS = {"sets": "sets", "set_pairs": "sets", "set_families": "sets",
-                 "maps": "maps", "map_pairs": "map_pairs"}
+            yield SpaceAnalysis(IdealSpace(topo, ideal), ta)
 
 
 def _sweep_partition(args):
-    """Worker entry: run every selected scope over one topology index range."""
+    """Worker entry: every domain space of one topology index range once,
+    every selected check on it.  Returns [visited, violations, witnesses]
+    per selection key, and the structure counts."""
     n, resolved, topo_lo, topo_hi, max_witnesses = args
-    out = {}
-    counts: dict[str, int] = {}
-    for sweep in ("sets", "maps", "map_pairs"):
-        scope_items = [
-            (key, REGISTRY[cid], direction, hypothesis)
-            for key, cid, direction, hypothesis in resolved
-            if _SCOPE_SWEEPS[REGISTRY[cid].scope] == sweep
-        ]
-        if not scope_items:
-            continue
-        if sweep == "map_pairs":
-            acc, sc = _sweep_map_pairs(n, scope_items, topo_lo, topo_hi, max_witnesses)
+    if not resolved:
+        return {}, {}
+    # per key: structures visited, violations, kept witnesses
+    acc = {key: [0, 0, []] for key, *_ in resolved}
+
+    def emit(key, witness):
+        entry = acc[key]
+        entry[1] += 1
+        if len(entry[2]) < max_witnesses:
+            entry[2].append(witness)
+
+    map_packing = pair_sweep = None
+    laws, runs, pair_legs = [], [], []
+    for key, cid, direction, hypothesis in resolved:
+        check = REGISTRY[cid]
+        passes = None if hypothesis == "none" else _SPACE_PASSES[hypothesis]  # None: all pass
+        if check.scope == "map_pairs":
+            pair_sweep = pair_sweep or _MapPairSweep(n)
+            pair_legs.append((key, check, _SPACE_PASSES[hypothesis]))
+        elif check.scope in ("sets", "maps"):
+            packing = _packing(check.scope, n)
+            if packing.kind == "map":
+                map_packing = packing
+            legs = _legs(check, direction, packing.leaf)
+            carrier_only = check.id in _CARRIER_ONLY
+            laws.append((key, check, passes, packing, legs, tuple(leg[1] for leg in legs),
+                         1 << ((1 << n) - 1) if carrier_only else packing.full,
+                         1 if carrier_only else packing.structures))
         else:
-            acc, sc = _sweep_spaces(_packing(sweep, n), n, scope_items, topo_lo, topo_hi,
-                                    max_witnesses)
-        for k, v in sc.items():
-            counts[k] = max(counts.get(k, 0), v) if k == "spaces" else counts.get(k, 0) + v
-        for key, *_ in scope_items:
-            out[key] = (acc.visited[key], acc.violations[key], tuple(acc.witnesses[key]))
-    return out, counts
+            law = _declaration(check)
+            runs.append((key, check, passes,
+                         law.run if law is not None else partial(_run_set_check, check)))
+    spaces = pairs_checked = 0
+    found: list[tuple] = []   # violations of one pair, family or custom check on one space
+    for sa in _spaces(n, topo_lo, topo_hi):
+        spaces += 1
+        # map atoms are built on their first read, by a law the space admits
+        map_values = map_packing.values(sa) if map_packing else None
+        for key, check, passes, packing, legs, packed, checked, per_space in laws:
+            if passes and not passes(sa):
+                continue
+            acc[key][0] += per_space
+            values = map_values if packing is map_packing else sa
+            failing = 0
+            for law in packed:
+                failing |= checked & ~law(values)
+            if not failing:
+                continue
+            base = _space_data(sa.sp)
+            bad = [checked & ~law(values) for law in packed]
+            for bit in bits(failing):
+                # a structure failing both legs is reported for the first
+                direction, _, atoms, readers = next(
+                    leg for leg, b in zip(legs, bad) if b >> bit & 1)
+                emit(key, Witness(
+                    n=n, kind=packing.kind, check_id=check.id,
+                    direction=direction, claim=None,
+                    data=base + packing.data(bit),
+                    trace=_trace(atoms, tuple(read(values) >> bit & 1 for read in readers)),
+                ))
+        for key, check, passes, run in runs:
+            if passes and not passes(sa):
+                continue
+            acc[key][0] += run(sa, found)
+            if found:
+                base = _space_data(sa.sp)
+                for kind, data, trace in found:
+                    emit(key, Witness(
+                        n=n, kind=kind, check_id=check.id, direction=None, claim=None,
+                        data=base + tuple(sorted(data.items())),
+                        trace=tuple(sorted(trace.items())),
+                    ))
+                found.clear()
+        if pair_legs:
+            active = [(key, check) for key, check, passes in pair_legs if passes(sa)]
+            if active:
+                pairs_checked += pair_sweep.run(sa, active, acc, emit)
+    counts = {"spaces": spaces}
+    if map_packing:
+        counts["map_structures"] = spaces * map_packing.structures
+    if pair_sweep:
+        counts["map_pairs_checked"] = pairs_checked
+    return acc, counts
 
 
 # --- selection and the public suite entry --------------------------------------
+
+def _tokens(selection) -> list[str]:
+    if isinstance(selection, str):
+        return [tok.strip() for tok in selection.split(",") if tok.strip()]
+    return list(selection)
+
 
 def resolve_selection(selection, direction=None, hypothesis=None):
     """Expand selection tokens into (key, id, direction, hypothesis) rows.
@@ -755,9 +760,7 @@ def resolve_selection(selection, direction=None, hypothesis=None):
     Tokens: 'all', a registered id, a dotted-prefix group ('t5', 'grt1'),
     or id.fwd / id.bwd for one direction of a biconditional.
     """
-    if isinstance(selection, str):
-        selection = [tok.strip() for tok in selection.split(",") if tok.strip()]
-    tokens = list(selection) if selection else ["all"]
+    tokens = _tokens(selection) or ["all"]
     rows = []
     seen = set()
 
@@ -779,24 +782,15 @@ def resolve_selection(selection, direction=None, hypothesis=None):
     if base_direction not in ("both", "fwd", "bwd"):
         raise TopoidealError(f"unknown direction {base_direction!r}")
     for tok in tokens:
-        if tok == "all":
-            for cid in REGISTRY:
-                add(cid, base_direction if REGISTRY[cid].directional else "both")
+        if tok.endswith((".fwd", ".bwd")) and tok[:-4] in REGISTRY:
+            add(tok[:-4], tok[-3:])
             continue
-        if tok in REGISTRY:
-            add(tok, base_direction if REGISTRY[tok].directional else "both")
-            continue
-        if tok.endswith(".fwd") or tok.endswith(".bwd"):
-            cid, direc = tok[:-4], tok[-3:]
-            if cid in REGISTRY:
-                add(cid, direc)
-                continue
-        group = [cid for cid in REGISTRY if cid.startswith(tok + ".")]
-        if group:
-            for cid in group:
-                add(cid, base_direction if REGISTRY[cid].directional else "both")
-            continue
-        raise UnknownTheoremId(tok)
+        group = (list(REGISTRY) if tok == "all" else [tok] if tok in REGISTRY
+                 else [cid for cid in REGISTRY if cid.startswith(tok + ".")])
+        if not group:
+            raise UnknownTheoremId(tok)
+        for cid in group:
+            add(cid, base_direction if REGISTRY[cid].directional else "both")
     return rows
 
 
@@ -810,11 +804,7 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
     if max_witnesses < 0:
         raise TopoidealError(f"max_witnesses must be >= 0, got {max_witnesses}")
     rows = resolve_selection(selection, direction, hypothesis)
-    if isinstance(selection, str):
-        tokens = [tok.strip() for tok in selection.split(",") if tok.strip()]
-    else:
-        tokens = list(selection)
-    explicit = "all" not in tokens
+    explicit = "all" not in _tokens(selection)
     kept, skipped = [], []
     for row in rows:
         scope = REGISTRY[row[1]].scope
@@ -847,15 +837,13 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
             # witness order and reports stay byte-identical across job counts
             partials = pool.map(_sweep_partition, args)
 
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     merged: dict[str, list] = {key: [0, 0, []] for key, *_ in kept}
     for out, sc in partials:
-        for k, v in sc.items():
-            counts[k] = counts.get(k, 0) + v
-        for key, (visited, violations, wits) in out.items():
-            merged[key][0] += visited
-            merged[key][1] += violations
-            merged[key][2].extend(wits)
+        counts.update(sc)
+        for key, part in out.items():
+            # visited and violation counts add up, witness lists concatenate
+            merged[key] = [total + more for total, more in zip(merged[key], part)]
     results = tuple(
         CheckResult(
             check_id=cid, direction=direc, hypothesis=hyp,
@@ -885,8 +873,7 @@ def check_direction(check_id: str, direction: str, hypothesis: str | None = None
 
 # --- claim search ----------------------------------------------------------------
 
-def find_counterexample(claim, scope: str, bound: int,
-                        max_witnesses: int = 1) -> Witness | None:
+def find_counterexample(claim, scope: str, bound: int) -> Witness | None:
     """First structure, in enumeration order over carriers 1..bound, that
     satisfies the claim; None when the scope is exhausted.  The claim is
     evaluated on the packed values the sweep uses, a space at a time."""
@@ -901,20 +888,17 @@ def find_counterexample(claim, scope: str, bound: int,
         packing = _packing(scope, n)
         holds = _claims.compile_claim(ast, packing.leaf)
         readers = [(name, packing.leaf(name)) for name in sorted(atoms)]
-        for topo in topologies(n):
-            ta = TopologyAnalysis(topo)
-            for ideal in ideals(n):
-                sa = SpaceAnalysis(IdealSpace(topo, ideal), ta)
-                values = packing.values(sa)
-                hits = holds(values) & packing.full
-                if hits:
-                    bit = (hits & -hits).bit_length() - 1
-                    return Witness(
-                        n=n, kind=packing.kind, check_id=None, direction=None,
-                        claim=text, data=_space_data(sa.sp) + packing.data(bit),
-                        trace=tuple((name, read(values) >> bit & 1 == 1)
-                                    for name, read in readers),
-                    )
+        for sa in _spaces(n):
+            values = packing.values(sa)
+            hits = holds(values) & packing.full
+            if hits:
+                bit = (hits & -hits).bit_length() - 1
+                return Witness(
+                    n=n, kind=packing.kind, check_id=None, direction=None,
+                    claim=text, data=_space_data(sa.sp) + packing.data(bit),
+                    trace=tuple((name, read(values) >> bit & 1 == 1)
+                                for name, read in readers),
+                )
     return None
 
 
@@ -926,52 +910,41 @@ def find_composition_counterexample(bound: int = 3) -> Witness | None:
         topos = topologies(n)
         tabs = maps(n, n)
         preims = _preimage_tables(n)
-        mid_cache: dict[tuple[int, int], SpaceAnalysis] = {}
-        for ti, topo in enumerate(topos):
-            ta = TopologyAnalysis(topo)
-            for ideal in ideals(n):
-                sa = SpaceAnalysis(IdealSpace(topo, ideal), ta)
-                pio_t = sa.pio_t
-                for si, mid in enumerate(topos):
-                    mid_opens = mid.opens
-                    for fi in range(len(tabs)):
-                        ptf = preims[fi]
-                        if not all(pio_t[ptf[v]] for v in mid_opens):
-                            continue
-                        for mid_gen in range(1 << n):
-                            key = (si, mid_gen)
-                            say = mid_cache.get(key)
-                            if say is None:
-                                say = SpaceAnalysis(
-                                    IdealSpace(mid, principal_ideal(n, mid_gen)))
-                                mid_cache[key] = say
-                            pio_mid = say.pio_t
-                            for ui, cod in enumerate(topos):
-                                cod_opens = cod.opens
-                                for gi in range(len(tabs)):
-                                    ptg = preims[gi]
-                                    if not all(pio_mid[ptg[w]] for w in cod_opens):
-                                        continue
-                                    comp_ok = all(
-                                        pio_t[ptf[ptg[w]]] for w in cod_opens)
-                                    if not comp_ok:
-                                        return Witness(
-                                            n=n, kind="map_pair", check_id=None,
-                                            direction=None,
-                                            claim="pre_i_continuous(f) & "
-                                                  "pre_i_continuous(g) & "
-                                                  "!pre_i_continuous(g . f)",
-                                            data=(("topology", topo.opens),
-                                                  ("ideal_gen", ideal.gen),
-                                                  ("mid_topology", mid.opens),
-                                                  ("mid_ideal_gen", mid_gen),
-                                                  ("map_first", tabs[fi]),
-                                                  ("cod_topology", cod.opens),
-                                                  ("map_second", tabs[gi])),
-                                            trace=(("first_pre_i_continuous", True),
-                                                   ("second_pre_i_continuous", True),
-                                                   ("composition_pre_i_continuous", False)),
-                                        )
+        # every space is a domain and a middle space: the middle space on
+        # topology si with ideal generator g is spaces[si << n | g]
+        spaces = list(_spaces(n))
+        for sa in spaces:
+            pio_t = sa.pio_t
+            for si, mid in enumerate(topos):
+                mid_opens = mid.opens
+                for fi, ptf in enumerate(preims):
+                    if not all(pio_t[ptf[v]] for v in mid_opens):
+                        continue
+                    for mid_gen in range(1 << n):
+                        pio_mid = spaces[si << n | mid_gen].pio_t
+                        for ui, cod in enumerate(topos):
+                            cod_opens = cod.opens
+                            for gi in range(len(tabs)):
+                                ptg = preims[gi]
+                                if not all(pio_mid[ptg[w]] for w in cod_opens):
+                                    continue
+                                if not all(pio_t[ptf[ptg[w]]] for w in cod_opens):
+                                    return Witness(
+                                        n=n, kind="map_pair", check_id=None,
+                                        direction=None,
+                                        claim="pre_i_continuous(f) & "
+                                              "pre_i_continuous(g) & "
+                                              "!pre_i_continuous(g . f)",
+                                        data=_space_data(sa.sp) + (
+                                            ("mid_topology", mid.opens),
+                                            ("mid_ideal_gen", mid_gen),
+                                            ("map_first", tabs[fi]),
+                                            ("cod_topology", cod.opens),
+                                            ("map_second", tabs[gi])),
+                                        trace=(("first_pre_i_continuous", True),
+                                               ("second_pre_i_continuous", True),
+                                               ("composition_pre_i_continuous", False)),
+                                    )
     return None
 
 
@@ -1007,50 +980,28 @@ def _definitional_values(kind: str, data: dict, n: int) -> dict[str, bool]:
 
 
 def _replay_set_check(cid: str, sp: IdealSpace, data: dict) -> bool:
-    """Replay of a set-pair or set-family witness."""
+    """Replay of a custom set-pair or set-family witness."""
     topo = sp.topo
-    full = topo.full
-    if cid in ("t5.i", "t5.ii", "t5.iii", "t5.iv", "t5.v", "l1", "c1.i", "c1.ii"):
+    if cid in ("t5.iv", "t5.v"):
         a, b = data["first"], data["second"]
-        if cid == "t5.i":
-            return (is_pre_i_open(sp, a) and is_pre_i_open(sp, b)
-                    and not is_pre_i_open(sp, a | b))
-        if cid == "t5.ii":
-            return (is_pre_i_open(sp, a) and topo.is_open(b)
-                    and not is_pre_i_open(sp, a & b))
-        if cid == "t5.iii":
-            return (is_pre_i_open(sp, a) and is_alpha_open(topo, b)
-                    and not is_preopen(topo, a & b))
-        if cid in ("t5.iv", "t5.v"):
-            if not (is_pre_i_open(sp, a) and is_semi_open(topo, b)):
-                return False
-            carrier = a if cid == "t5.iv" else b
-            if carrier == 0:
-                return False
-            sub = subspace(topo, carrier)
-            cut = sub.restrict(a & b)
-            if cid == "t5.iv":
-                return not is_semi_open(sub.topo, cut)
-            return not is_preopen(sub.topo, cut)
-        if cid == "l1":
-            if not topo.is_open(a):
-                return False
-            rel = local_function(sp, a & b)
-            whole = a & local_function(sp, b)
-            return whole != a & rel or bool(whole & ~rel)
-        if cid == "c1.i":
-            picl = lambda m: is_pre_i_open(sp, full ^ m)
-            return picl(a) and picl(b) and not picl(a & b)
-        picl = lambda m: is_pre_i_open(sp, full ^ m)
-        return picl(a) and topo.is_open(full ^ b) and not picl(a | b)
-    if cid in ("t4.i", "t4.iii"):
-        preopen = tuple(m for m in range(1 << sp.n) if is_preopen(topo, m))
-        return pio_family(sp) != preopen
-    if cid in ("t4.ii", "submax"):
-        return pio_family(sp) != topo.opens
+        carrier = a if cid == "t5.iv" else b
+        if not (is_pre_i_open(sp, a) and is_semi_open(topo, b)) or carrier == 0:
+            return False
+        sub = subspace(topo, carrier)
+        cut = sub.restrict(a & b)
+        if cid == "t5.iv":
+            return not is_semi_open(sub.topo, cut)
+        return not is_preopen(sub.topo, cut)
+    if cid == "l1":
+        u, a = data["first"], data["second"]
+        if not topo.is_open(u):
+            return False
+        rel = local_function(sp, u & a)
+        whole = u & local_function(sp, a)
+        return whole != u & rel or bool(whole & ~rel)
     if cid == "isi_consistency":
         props = space_props(sp)
-        if sp.ideal.gen == full:
+        if sp.ideal.gen == topo.full:
             return not props.i_strongly_irresolvable
         classical = all(topo.is_open(m) for m in pio_family(sp))
         return props.i_strongly_irresolvable != classical
@@ -1068,7 +1019,7 @@ def replay_witness(w: Witness) -> bool:
             text, wanted = w.claim, True
         else:
             text, wanted = _law_text(REGISTRY[w.check_id], w.direction), False
-            if text is None:
+            if not isinstance(text, str):   # no claim law: none, or a pair or family law
                 return False
             if w.check_id in _CARRIER_ONLY and data["subset"] != (1 << w.n) - 1:
                 return False
@@ -1084,6 +1035,10 @@ def replay_witness(w: Witness) -> bool:
                 and map_classes(g).pre_i_continuous
                 and not map_classes(h).pre_i_continuous)
     cid = w.check_id
+    law = _declaration(REGISTRY[cid])
+    if law is not None:
+        return (w.kind == law.kind and w.trace == tuple(sorted(law.trace().items()))
+                and law.replay(_rebuild_space(data, w.n), data))
     if REGISTRY[cid].scope != "map_pairs":
         return _replay_set_check(cid, _rebuild_space(data, w.n), data)
     # tt5: the middle ideal is not quantified

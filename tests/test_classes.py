@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from topoideal.analysis import SpaceAnalysis
+from topoideal.analysis import SET_ATOMS, SpaceAnalysis
 from topoideal.classes import (
     is_a_set,
     is_i_locally_closed,
@@ -13,6 +13,7 @@ from topoideal.classes import (
 )
 from topoideal.core import (
     IdealSpace,
+    bits,
     full_mask,
     nowhere_dense_ideal,
     principal_ideal,
@@ -173,15 +174,16 @@ def test_star_perfect_collapses_open_i_open_pio():
 
 
 def _assert_indexed_tables_match(sp):
-    # the tables the pair, family and composition checks index; the packed
-    # atom families are pinned in test_fast_route
+    # the tables the custom pair and composition checks index, and the
+    # families the pair and family laws read through SET_ATOMS; every packed
+    # atom family is pinned bit by bit in test_fast_route
     sa = SpaceAnalysis(sp)
     full = sp.topo.full
     every = range(1 << sp.n)
     for a in every:
         v = set_classes(sp, a)
         assert sa.pio_t[a] == v.pre_i_open
-        assert sa.piclosed_t[a] == v.pre_i_closed
+        assert (SET_ATOMS["pre_i_closed"](sa) >> a & 1 == 1) == v.pre_i_closed
         assert sa.ta.preopen_t[a] == v.preopen
         assert sa.star_t[a] == local_function_oracle(sp, a)
         assert sa.ta.interior_t[a] == interior_oracle(sp.topo, a)
@@ -189,10 +191,10 @@ def _assert_indexed_tables_match(sp):
     families = {
         "pio_family": (sa.pio_family, "pre_i_open"),
         "perfect_family": (sa.perfect_family, "star_perfect"),
-        "preopen_family": (sa.ta.preopen_family, "preopen"),
+        "preopen_family": (tuple(bits(SET_ATOMS["preopen"](sa))), "preopen"),
         "semi_family": (sa.ta.semi_family, "semi_open"),
-        "alpha_family": (sa.ta.alpha_family, "alpha_open"),
-        "closed_family": (sa.ta.closed_family, "closed"),
+        "alpha_family": (tuple(bits(SET_ATOMS["alpha_open"](sa))), "alpha_open"),
+        "closed_family": (tuple(bits(SET_ATOMS["closed"](sa))), "closed"),
     }
     for name, (family, flag) in families.items():
         want = tuple(a for a in every if getattr(set_classes(sp, a), flag))

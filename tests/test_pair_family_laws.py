@@ -1,0 +1,134 @@
+"""Pair and family laws against the definitional route, and the one space
+loop of the sweep.
+
+Each closure lemma over subset pairs (t5.i-iii, c1.i-ii) is a pair law and
+each family equality (t4.i-iii, submax) a family law, declared once in the
+registry.  Every declaration is pinned to a reference sweep that classifies
+one pair, or one space, at a time; a packed conclusion family with one
+wrong bit must make every pair law report the reference's witnesses; and
+replay must accept real witnesses and reject doctored ones.
+"""
+
+import dataclasses
+
+import pytest
+
+import topoideal.verify as verify
+from topoideal.analysis import SET_ATOMS, SpaceAnalysis
+from topoideal.classes import set_classes
+from topoideal.core import IdealSpace, make_topology, principal_ideal
+from topoideal.verify import REGISTRY, _declaration, replay_witness, run_theorem_suite
+from util import FAMILY_LAW_ORACLES, PAIR_LAW_ORACLES, reference_pair_report
+
+EVERY_WITNESS = 10 ** 6
+DECLARED = [*PAIR_LAW_ORACLES, *FAMILY_LAW_ORACLES]
+
+
+def test_declarations_are_the_pair_and_family_lemmas():
+    for cid, law in PAIR_LAW_ORACLES.items():
+        assert tuple(_declaration(REGISTRY[cid])) == law, cid
+        assert REGISTRY[cid].scope == "set_pairs"
+    for cid, atom in FAMILY_LAW_ORACLES.items():
+        assert tuple(_declaration(REGISTRY[cid])) == (atom,), cid
+        assert REGISTRY[cid].scope == "set_families"
+    custom = {cid for cid, check in REGISTRY.items()
+              if check.scope.startswith("set_") and _declaration(check) is None}
+    assert custom == {"t5.iv", "t5.v", "l1", "isi_consistency"}
+
+
+def _cases():
+    for cid in DECLARED:
+        for hypothesis in sorted({"none", REGISTRY[cid].hypothesis}):
+            yield cid, hypothesis
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("cid,hypothesis", list(_cases()))
+def test_declared_law_matches_reference_sweep(cid, hypothesis, n):
+    got = run_theorem_suite(n, [cid], hypothesis=hypothesis, max_witnesses=EVERY_WITNESS)
+    want = reference_pair_report(n, cid, hypothesis, max_witnesses=EVERY_WITNESS)
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("cid", list(PAIR_LAW_ORACLES))
+def test_corrupted_conclusion_family_reports_reference_witnesses(cid, monkeypatch):
+    # drop the subset the operation always reaches from the conclusion's
+    # family: the carrier for unions, the empty set for intersections
+    n = 3
+    _, _, op, conclusion = PAIR_LAW_ORACLES[cid]
+    dropped = (1 << n) - 1 if op == "union" else 0
+    family = SET_ATOMS[conclusion]
+    monkeypatch.setitem(SET_ATOMS, conclusion, lambda sa: family(sa) & ~(1 << dropped))
+    got = run_theorem_suite(n, [cid], max_witnesses=EVERY_WITNESS)
+    want = reference_pair_report(n, cid, "none", max_witnesses=EVERY_WITNESS,
+                                 drop={conclusion: dropped})
+    assert got.results[0].violation_count > 0
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("cid,violations", [
+    ("t4.i", 76), ("t4.ii", 88), ("t4.iii", 76), ("submax", 88)])
+def test_family_laws_fail_without_their_hypothesis(cid, violations):
+    result = run_theorem_suite(3, [cid], hypothesis="none",
+                               max_witnesses=EVERY_WITNESS).results[0]
+    assert result.violation_count == violations == len(result.witnesses)
+    assert all(replay_witness(w) for w in result.witnesses)
+
+
+def _with_data(w, **changes):
+    data = dict(w.data)
+    data.update(changes)
+    return dataclasses.replace(w, data=tuple(data.items()))
+
+
+def test_replay_rejects_a_pair_witness_whose_first_lacks_the_first_atom(monkeypatch):
+    # preopen sets are not closed under intersection, so this declaration
+    # has real witnesses; both the sweep and replay read it from the registry
+    law = verify._PairLaw("preopen", "preopen", "intersection", "preopen")
+    monkeypatch.setitem(REGISTRY, "t5.ii", dataclasses.replace(REGISTRY["t5.ii"], laws=(law,)))
+    witnesses = run_theorem_suite(3, ["t5.ii"], max_witnesses=EVERY_WITNESS).violations
+    assert witnesses
+    assert all(replay_witness(w) for w in witnesses)
+    assert dict(witnesses[0].trace) == {
+        "preopen(first)": True, "preopen(second)": True, "preopen(intersection)": False}
+    flipped = tuple((name, not value) for name, value in witnesses[0].trace)
+    assert not replay_witness(dataclasses.replace(witnesses[0], trace=flipped))
+    doctored = None
+    for w in witnesses:
+        data = w.data_dict()
+        sp = IdealSpace(make_topology(3, data["topology"]), principal_ideal(3, data["ideal_gen"]))
+        for a in range(8):
+            # everything but the first atom still as the witness claims
+            if not set_classes(sp, a).preopen and not set_classes(sp, a & data["second"]).preopen:
+                doctored = _with_data(w, first=a)
+                break
+        if doctored:
+            break
+    assert doctored is not None
+    assert not replay_witness(doctored)
+
+
+def test_replay_rejects_a_family_witness_moved_to_a_space_where_families_agree():
+    w = run_theorem_suite(3, ["t4.ii"], hypothesis="none").violations[0]
+    assert replay_witness(w)
+    assert not replay_witness(dataclasses.replace(w, trace=(("families_equal", True),)))
+    # under the maximal ideal the pre-I-open sets are exactly the opens; the
+    # moved witness records that space's families, so only their equality
+    # can reject it
+    opens = w.data_dict()["topology"]
+    moved = _with_data(w, ideal_gen=7, expected=opens, pio_family=opens)
+    assert not replay_witness(moved)
+
+
+def test_suite_builds_one_space_analysis_per_space(monkeypatch):
+    built = []
+
+    class Counting(SpaceAnalysis):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "SpaceAnalysis", Counting)
+    report = run_theorem_suite(2, "all")
+    assert dict(report.scope_counts)["spaces"] == 16
+    assert len(built) == len(set(built)) == 16

@@ -1,0 +1,29 @@
+"""The machine form of a report is a contract: for a given selection,
+carrier size and options, `Report.to_json()` stays the same byte for byte.
+
+The digests below were recorded from the sweep before its per-scope loops
+were merged into one space loop; any change to what a sweep visits,
+counts, reports or in which order shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from topoideal.verify import run_theorem_suite
+
+CONTRACT = [
+    ((4, "all"), {},
+     "07b5b1bdfe369902e3bffdfca39a39a6a371cbf803491a4a650a92053a44c794"),
+    ((2, "all"), {"hypothesis": "none", "max_witnesses": 1000},
+     "a831ea405091a21079772a389233a809e5780110392910bcae5fc756c9bc1115"),
+    ((3, "t4,t5,c1,l1,submax,isi_consistency"), {"hypothesis": "none"},
+     "e32dc1b574ae914413dadd1ba5b7e40b8b9256c68067d2ea190273edbacdd8ee"),
+]
+
+
+@pytest.mark.parametrize("args,kwargs,digest", CONTRACT,
+                         ids=["sets4-all", "all2-none-every-witness", "pairs-families3-none"])
+def test_report_json_digest(args, kwargs, digest):
+    report = run_theorem_suite(*args, **kwargs)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

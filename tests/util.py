@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import hypothesis.strategies as st
 
-from topoideal.classes import set_classes
+from topoideal.classes import pio_family, set_classes
 from topoideal.core import (
     FiniteTopology,
     IdealSpace,
@@ -264,7 +264,9 @@ MAP_CHECK_ORACLES = {
 HYPOTHESIS_ORACLES = {
     "none": lambda sp: True,
     "hayashi_samuels": lambda sp: space_props(sp).hayashi_samuels,
+    "submaximal": lambda sp: space_props(sp).submaximal,
     "minimal_ideal": lambda sp: sp.ideal.gen == 0,
+    "maximal_ideal": lambda sp: sp.ideal.gen == sp.topo.full,
     "nowhere_dense_ideal": lambda sp: sp.ideal.gen == nowhere_dense_ideal(sp.topo).gen,
 }
 
@@ -330,5 +332,76 @@ def reference_map_report(n: int, check_id: str, direction: str, hypothesis: str,
         bound=n, selection=(key,),
         scope_counts=(("map_structures", len(structures)), ("spaces", n_spaces)),
         results=(CheckResult(check_id, direction, hypothesis, visited, violations,
+                             tuple(witnesses)),),
+        skipped=(), wall_time=0.0)
+
+
+# Reference sweep for the pair and family laws.  A pair law (first, second,
+# op, conclusion) says that first(a) and second(b) give conclusion(a op b)
+# for every pair of subsets; a family law says that the pre-I-open family
+# equals the family of its atom.
+PAIR_LAW_ORACLES = {
+    "t5.i": ("pre_i_open", "pre_i_open", "union", "pre_i_open"),
+    "t5.ii": ("pre_i_open", "open", "intersection", "pre_i_open"),
+    "t5.iii": ("pre_i_open", "alpha_open", "intersection", "preopen"),
+    "c1.i": ("pre_i_closed", "pre_i_closed", "intersection", "pre_i_closed"),
+    "c1.ii": ("pre_i_closed", "closed", "union", "pre_i_closed"),
+}
+FAMILY_LAW_ORACLES = {
+    "t4.i": "preopen", "t4.ii": "open", "t4.iii": "preopen", "submax": "open",
+}
+
+
+@lru_cache(maxsize=None)
+def all_set_flags(n: int) -> tuple:
+    """(space, flag dict of every subset) for every space on n points."""
+    return tuple((sp, tuple(set_classes(sp, a).as_dict() for a in range(1 << n)))
+                 for sp in all_spaces_bruteforce(n))
+
+
+def reference_pair_report(n: int, check_id: str, hypothesis: str,
+                          max_witnesses: int = 25, drop=None) -> Report:
+    """The report run_theorem_suite should give for one pair or family law:
+    pair laws pair by pair, family laws space by space, from set_classes and
+    pio_family.  drop maps a flag name to one subset whose flag is forced
+    false on every space, mirroring a packed family with that bit cleared."""
+    visited = violations = 0
+    witnesses = []
+    spaces = all_set_flags(n)
+    for sp, flags in spaces:
+        if not HYPOTHESIS_ORACLES[hypothesis](sp):
+            continue
+        space = (("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen))
+        found = []
+        if check_id in FAMILY_LAW_ORACLES:
+            visited += 1
+            pio = pio_family(sp)
+            expected = tuple(a for a in range(1 << n) if flags[a][FAMILY_LAW_ORACLES[check_id]])
+            if pio != expected:
+                found.append(("set_family", (("expected", expected), ("pio_family", pio)),
+                              (("families_equal", False),)))
+        else:
+            first, second, op, conclusion = PAIR_LAW_ORACLES[check_id]
+
+            def has(atom, a):
+                return flags[a][atom] and (drop or {}).get(atom) != a
+
+            for a in range(1 << n):
+                for b in range(1 << n):
+                    if not (has(first, a) and has(second, b)):
+                        continue
+                    visited += 1
+                    if not has(conclusion, a | b if op == "union" else a & b):
+                        found.append(("set_pair", (("first", a), ("second", b)), tuple(sorted({
+                            f"{first}(first)": True, f"{second}(second)": True,
+                            f"{conclusion}({op})": False}.items()))))
+        for kind, data, trace in found:
+            violations += 1
+            if len(witnesses) < max_witnesses:
+                witnesses.append(Witness(n=n, kind=kind, check_id=check_id, direction=None,
+                                         claim=None, data=space + data, trace=trace))
+    return Report(
+        bound=n, selection=(check_id,), scope_counts=(("spaces", len(spaces)),),
+        results=(CheckResult(check_id, "both", hypothesis, visited, violations,
                              tuple(witnesses)),),
         skipped=(), wall_time=0.0)
