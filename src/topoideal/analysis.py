@@ -4,8 +4,8 @@ TopologyAnalysis holds the ideal-free tables (shared by every ideal on the
 same topology), SpaceAnalysis the ideal-dependent ones.  Most tables are
 packed families: an int whose bit m is set iff subset m has the property
 (the `*_bits` tables).  Lists indexed by subset mask (`*_t`) are kept only
-where the custom pair and composition checks index them.  Everything is
-lazy, so a sweep only pays for the predicates its selected checks consult.
+where l1 or the composition search indexes them.  Everything is lazy, so a
+sweep only pays for the predicates its selected checks consult.
 
 SET_ATOMS maps every set atom of the claim grammar to its packed family and
 MAP_ATOMS every map atom to the domain family its preimages are tested
@@ -27,6 +27,7 @@ from .core import (
     SpaceProps,
     bits,
     local_function,
+    principal_ideal,
     star_min_nbhd,
     subspace,
 )
@@ -59,11 +60,6 @@ def family_bits(masks) -> int:
 def _pack(flags) -> int:
     """Packed family of a per-subset flag sequence."""
     return family_bits(m for m, flag in enumerate(flags) if flag)
-
-
-def _unpack(packed: int, size: int) -> list[bool]:
-    """Per-subset flag list of a packed family."""
-    return [packed >> m & 1 == 1 for m in range(size)]
 
 
 def _complements(packed: int, full: int) -> int:
@@ -111,10 +107,6 @@ class TopologyAnalysis:
         return _pack(m & ~it[cl[m]] == 0 for m in range(self.size))
 
     @lazy_table
-    def preopen_t(self) -> list[bool]:
-        return _unpack(self.preopen_bits, self.size)
-
-    @lazy_table
     def semi_bits(self) -> int:
         it, cl = self.interior_t, self.closure_t
         return _pack(m & ~cl[it[m]] == 0 for m in range(self.size))
@@ -149,10 +141,6 @@ class TopologyAnalysis:
         return family_bits(u & r for u in self.topo.opens for r in self.regclosed_family)
 
     @lazy_table
-    def semi_family(self) -> tuple[int, ...]:
-        return tuple(bits(self.semi_bits))
-
-    @lazy_table
     def submaximal(self) -> bool:
         return self.dense_bits & ~self.open_bits == 0
 
@@ -166,11 +154,11 @@ class TopologyAnalysis:
         return gen
 
     def sub_tables(self, carrier: int):
-        """Subspace on carrier plus its TopologyAnalysis (cached per carrier)."""
+        """Subspace on carrier and its analysis under the minimal ideal, cached."""
         got = self._sub_cache.get(carrier)
         if got is None:
             sub = subspace(self.topo, carrier)
-            got = (sub, TopologyAnalysis(sub.topo))
+            got = (sub, SpaceAnalysis(IdealSpace(sub.topo, principal_ideal(sub.topo.n, 0))))
             self._sub_cache[carrier] = got
         return got
 
@@ -231,7 +219,7 @@ class SpaceAnalysis:
 
     @lazy_table
     def pio_t(self) -> list[bool]:
-        return _unpack(self.pio_bits, self.size)
+        return [self.pio_bits >> m & 1 == 1 for m in range(self.size)]
 
     @lazy_table
     def pio_family(self) -> tuple[int, ...]:

@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
         args.points,
         args.suite,
         direction=args.direction,
-        hypothesis={"hs": "hayashi_samuels"}.get(args.hypothesis, args.hypothesis),
+        hypothesis=args.hypothesis,
         jobs=args.jobs,
         max_witnesses=args.max_witnesses,
         allow_large=args.force,

@@ -232,10 +232,6 @@ class Subspace:
     topo: FiniteTopology
     embedding: tuple[int, ...]
 
-    @cached_property
-    def _position(self) -> dict[int, int]:
-        return {p: i for i, p in enumerate(self.embedding)}
-
     def restrict(self, mask: int) -> int:
         """Re-index a mask on the original carrier into subspace coordinates."""
         out = 0

@@ -11,9 +11,11 @@ of topoideal.claims, one per direction.  The sweep evaluates a law on the
 packed atom families of one space at a time (every subset, or every
 codomain and map, at once) and reports where it fails; the claim search
 reports the first structure where a claim holds, on the same packed
-values; replay evaluates the same text on the definitional flags.  The
-closure lemmas over subset pairs are pair laws and the family equalities
-are family laws, each one declaration over the same set atoms.
+values; replay evaluates the same text on the definitional flags.  Every
+other check is one declaration that carries its own sweep over the packed
+tables of a space and its own replay: the lemmas over subset pairs are
+pair laws, the family equalities family laws, tt5 a composition law, and
+l1 and isi_consistency a declaration each.
 
 A sweep visits every domain space of a carrier size once, in canonical
 order, and runs every selected check on it, so reports and first
@@ -31,19 +33,13 @@ import os
 from collections import Counter
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
+from types import SimpleNamespace
 
 from . import claims as _claims
 from .analysis import MAP_ATOMS, SET_ATOMS, SpaceAnalysis, TopologyAnalysis, family_bits
-from .classes import (
-    is_pre_i_open,
-    is_preopen,
-    is_semi_open,
-    pio_family,
-    set_classes,
-)
+from .classes import pio_family, set_classes
 from .core import (
     IdealSpace,
     TopoidealError,
@@ -101,63 +97,210 @@ def _unpacked(family: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(m for m in range(size) if flags[m]), flags
 
 
-class _PairLaw(NamedTuple):
+class _Declaration:
+    """A check that is not a claim.  run(values, found) checks one space:
+    it appends (data, trace) to found per violation and returns the number
+    of instances visited; values is the space's SpaceAnalysis, or its packed
+    map atoms if the declaration reads "maps".  replay(sp, data) re-evaluates
+    one instance on the definitional route and returns the trace of its
+    violation, or None if it has none."""
+
+    reads = "sets"
+    scope_count = None   # the scope count that its visited instances make
+
+
+@dataclass(frozen=True)
+class _PairLaw(_Declaration):
     """first(a) & second(b) => conclusion(a op b) for every pair of subsets
-    (a, b) of a space, op being union or intersection."""
+    (a, b) of a space, op being union or intersection.  With `within` set to
+    "first" or "second", the conclusion is read in the subspace on that
+    subset, and pairs whose subspace is empty are skipped; the subspace's
+    ideal is not read, so that conclusion must be a topological atom."""
 
     first: str
     second: str
     op: str
     conclusion: str
+    within: str | None = None
 
     kind = "set_pair"
 
-    def trace(self) -> dict[str, bool]:
-        return {f"{self.first}(first)": True, f"{self.second}(second)": True,
-                f"{self.conclusion}({self.op})": False}
+    def trace(self) -> tuple[tuple[str, bool], ...]:
+        held = "holds_in_subspace" if self.within else f"{self.conclusion}({self.op})"
+        return tuple(sorted({f"{self.first}(first)": True, f"{self.second}(second)": True,
+                             held: False}.items()))
 
     def run(self, sa: SpaceAnalysis, found: list) -> int:
         firsts = _unpacked(SET_ATOMS[self.first](sa), sa.size)[0]
         seconds = _unpacked(SET_ATOMS[self.second](sa), sa.size)[0]
-        holds = _unpacked(SET_ATOMS[self.conclusion](sa), sa.size)[1]
-        # a comprehension per operation, so no operator call per pair
-        if self.op == "union":
-            bad = [(a, b) for a in firsts for b in seconds if not holds[a | b]]
+        if self.within:
+            on_first, bad, visited = self.within == "first", [], 0
+            for a in firsts:
+                for b in seconds:
+                    carrier = a if on_first else b
+                    if carrier:
+                        visited += 1
+                        sub, ssa = sa.ta.sub_tables(carrier)
+                        if not SET_ATOMS[self.conclusion](ssa) >> sub.restrict(a & b) & 1:
+                            bad.append((a, b))
         else:
-            bad = [(a, b) for a in firsts for b in seconds if not holds[a & b]]
-        for a, b in bad:
-            found.append((self.kind, {"first": a, "second": b}, self.trace()))
-        return len(firsts) * len(seconds)
+            holds = _unpacked(SET_ATOMS[self.conclusion](sa), sa.size)[1]
+            visited = len(firsts) * len(seconds)
+            # a comprehension per operation, so no operator call per pair
+            if self.op == "union":
+                bad = [(a, b) for a in firsts for b in seconds if not holds[a | b]]
+            else:
+                bad = [(a, b) for a in firsts for b in seconds if not holds[a & b]]
+        trace = self.trace()
+        found.extend(((("first", a), ("second", b)), trace) for a, b in bad)
+        return visited
 
-    def replay(self, sp: IdealSpace, data: dict) -> bool:
+    def replay(self, sp: IdealSpace, data: dict):
         a, b = data["first"], data["second"]
+        if not (getattr(set_classes(sp, a), self.first)
+                and getattr(set_classes(sp, b), self.second)):
+            return None
         joined = a | b if self.op == "union" else a & b
-        return (getattr(set_classes(sp, a), self.first)
-                and getattr(set_classes(sp, b), self.second)
-                and not getattr(set_classes(sp, joined), self.conclusion))
+        if self.within:
+            carrier = a if self.within == "first" else b
+            if not carrier:
+                return None
+            sub = subspace(sp.topo, carrier)
+            sp = IdealSpace(sub.topo, principal_ideal(sub.topo.n, 0))
+            joined = sub.restrict(joined)
+        return None if getattr(set_classes(sp, joined), self.conclusion) else self.trace()
 
 
-class _FamilyLaw(NamedTuple):
+@dataclass(frozen=True)
+class _FamilyLaw(_Declaration):
     """The pre-I-open family of a space equals the family of `atom`."""
 
     atom: str
 
     kind = "set_family"
-
-    def trace(self) -> dict[str, bool]:
-        return {"families_equal": False}
+    trace = (("families_equal", False),)
 
     def run(self, sa: SpaceAnalysis, found: list) -> int:
         pio, expected = SET_ATOMS["pre_i_open"](sa), SET_ATOMS[self.atom](sa)
         if pio != expected:
-            found.append((self.kind, {"pio_family": tuple(bits(pio)),
-                                      "expected": tuple(bits(expected))}, self.trace()))
+            found.append(((("expected", tuple(bits(expected))), ("pio_family", tuple(bits(pio)))),
+                          self.trace))
         return 1
 
-    def replay(self, sp: IdealSpace, data: dict) -> bool:
+    def replay(self, sp: IdealSpace, data: dict):
         pio = pio_family(sp)
         expected = tuple(m for m in range(1 << sp.n) if getattr(set_classes(sp, m), self.atom))
-        return pio != expected and data["pio_family"] == pio and data["expected"] == expected
+        recorded = data["pio_family"] == pio and data["expected"] == expected
+        return self.trace if pio != expected and recorded else None
+
+
+class _StarLaw(_Declaration):
+    """l1: for every open U and every subset A, U & A* equals U & (U & A)*
+    and lies inside (U & A)*."""
+
+    kind = "set_pair"
+
+    @staticmethod
+    def trace(u_star_a: int, u: int, star_u_a: int) -> tuple[tuple[str, bool], ...]:
+        return ("containment", u_star_a & ~star_u_a == 0), ("equality", u_star_a == u & star_u_a)
+
+    def run(self, sa: SpaceAnalysis, found: list) -> int:
+        star, opens = sa.star_t, sa.sp.topo.opens
+        for u in opens:
+            for a in range(sa.size):
+                whole, rel = u & star[a], star[u & a]
+                if whole != u & rel or whole & ~rel:
+                    found.append(((("first", u), ("second", a)), self.trace(whole, u, rel)))
+        return len(opens) * sa.size
+
+    def replay(self, sp: IdealSpace, data: dict):
+        u, a = data["first"], data["second"]
+        if not sp.topo.is_open(u):
+            return None
+        trace = self.trace(u & local_function(sp, a), u, local_function(sp, u & a))
+        return None if all(held for _, held in trace) else trace
+
+
+class _IrresolvableLaw(_Declaration):
+    """isi_consistency: under the maximal ideal a space is strongly
+    I-irresolvable, and under the minimal ideal it is iff every pre-I-open
+    set is open; spaces under other ideals are not visited."""
+
+    kind = "set_family"
+
+    @staticmethod
+    def violation(minimal: bool, irresolvable: bool, pio_inside_tau: bool):
+        """(data, trace) of a violation on a space under the minimal or the
+        maximal ideal; None if there is none."""
+        trace = ("i_strongly_irresolvable", irresolvable), ("pio_inside_tau", pio_inside_tau)
+        if minimal:
+            return None if irresolvable == pio_inside_tau else ((("ideal", "minimal"),), trace)
+        return None if irresolvable else ((("ideal", "maximal"),), trace[:1])
+
+    def run(self, sa: SpaceAnalysis, found: list) -> int:
+        gen = sa.sp.ideal.gen
+        if gen != 0 and gen != sa.full:
+            return 0
+        classical = SET_ATOMS["pre_i_open"](sa) & ~SET_ATOMS["open"](sa) == 0
+        hit = self.violation(gen == 0, SET_ATOMS["i_strongly_irresolvable"](sa) != 0, classical)
+        if hit:
+            found.append(hit)
+        return 1
+
+    def replay(self, sp: IdealSpace, data: dict):
+        gen = sp.ideal.gen
+        if gen != 0 and gen != sp.topo.full:
+            return None
+        classical = all(sp.topo.is_open(m) for m in pio_family(sp))
+        hit = self.violation(gen == 0, space_props(sp).i_strongly_irresolvable, classical)
+        return hit[1] if hit and hit[0] == (("ideal", data["ideal"]),) else None
+
+
+@dataclass(frozen=True)
+class _CompositionLaw(_Declaration):
+    """first(f) & second(g) => conclusion(g . f) for every map f of a domain
+    space into a middle topology and every map g of that topology into a
+    codomain topology.  The middle ideal is not quantified: second is read
+    on the middle topology alone, so it must be an atom that does not read
+    the ideal, and replay reads it under the minimal ideal."""
+
+    first: str
+    second: str
+    conclusion: str
+
+    kind = "map_pair"
+    reads = "maps"
+    # the legs of a check share their hypothesis, so each visits every pair
+    scope_count = "map_pairs_checked"
+
+    def trace(self) -> tuple[tuple[str, bool], ...]:
+        return (("composition_conclusion", False), (f"first_{self.first}", True),
+                (f"second_{self.second}", True))
+
+    def run(self, values: _MapValues, found: list) -> int:
+        """A first hop fails iff the bits its second hops reach meet the
+        conclusion's complement; only failing hops walk their pairs."""
+        n, topos, tabs = values.sa.n, values.packing.topos, values.packing.tabs
+        packed, comp, _ = _second_hops(n, self.second)
+        missed = ~values[self.conclusion]
+        visited = 0
+        for first in bits(values[self.first]):
+            si, fi = divmod(first, len(tabs))
+            visited += packed[si].bit_count()
+            if _reach(n, self.second, first) & missed:
+                for second in bits(packed[si]):
+                    ui, gi = divmod(second, len(tabs))
+                    if missed >> (ui * len(tabs) + comp[fi][gi]) & 1:
+                        found.append(((("mid_topology", topos[si].opens), ("map_first", tabs[fi]),
+                                       ("cod_topology", topos[ui].opens),
+                                       ("map_second", tabs[gi])), self.trace()))
+        return visited
+
+    def replay(self, sp: IdealSpace, data: dict):
+        f, g, h = _rebuild_pair(sp, data, 0)
+        held = (getattr(map_classes(f), self.first) and getattr(map_classes(g), self.second)
+                and not getattr(map_classes(h), self.conclusion))
+        return self.trace() if held else None
 
 
 @dataclass(frozen=True)
@@ -165,9 +308,8 @@ class TheoremCheck:
     id: str
     scope: str
     hypothesis: str
-    # the law as a claim, or its forward and backward directions; or the
-    # declaration of a pair or family law; empty for a custom check
-    laws: tuple[str | _PairLaw | _FamilyLaw, ...]
+    # the law as a claim, or its forward and backward directions; or a declaration
+    laws: tuple[str | _Declaration, ...]
     description: str
 
     @property
@@ -197,11 +339,13 @@ _REGISTRY_ROWS = (
     ("t5.iii", "set_pairs", "none",
      (_PairLaw("pre_i_open", "alpha_open", "intersection", "preopen"),),
      "a pre-I-open set intersected with an alpha-open set is preopen"),
-    ("t5.iv", "set_pairs", "none", (),
+    ("t5.iv", "set_pairs", "none",
+     (_PairLaw("pre_i_open", "semi_open", "intersection", "semi_open", "first"),),
      "pre-I-open A and semi-open B intersect to a semi-open subset of subspace A"),
-    ("t5.v", "set_pairs", "none", (),
+    ("t5.v", "set_pairs", "none",
+     (_PairLaw("pre_i_open", "semi_open", "intersection", "preopen", "second"),),
      "pre-I-open A and semi-open B intersect to a preopen subset of subspace B"),
-    ("l1", "set_pairs", "none", (),
+    ("l1", "set_pairs", "none", (_StarLaw(),),
      "for open U: U & star(A) equals U & star(U & A) and lies inside star(U & A)"),
     ("c1.i", "set_pairs", "none",
      (_PairLaw("pre_i_closed", "pre_i_closed", "intersection", "pre_i_closed"),),
@@ -216,7 +360,7 @@ _REGISTRY_ROWS = (
      "for star-perfect sets: open, I-open and pre-I-open coincide"),
     ("x_always_pio", "sets", "none", ("pre_i_open",),
      "the whole carrier is always pre-I-open"),
-    ("isi_consistency", "set_families", "none", (),
+    ("isi_consistency", "set_families", "none", (_IrresolvableLaw(),),
      "strong irresolvability holds under the maximal ideal and reduces to "
      "'pre-I-open implies open' under the minimal ideal"),
     ("tt6", "sets", "none",
@@ -236,9 +380,11 @@ _REGISTRY_ROWS = (
     ("tt4", "maps", "none",
      ("cond1 & cond2 & cond3 & cond4 | !cond1 & !cond2 & !cond3 & !cond4",),
      "the four formulations of pre-I-continuity agree"),
-    ("tt5.i", "map_pairs", "none", (),
+    ("tt5.i", "map_pairs", "none",
+     (_CompositionLaw("pre_i_continuous", "continuous", "pre_i_continuous"),),
      "pre-I-continuous then continuous composes to pre-I-continuous"),
-    ("tt5.ii", "map_pairs", "none", (),
+    ("tt5.ii", "map_pairs", "none",
+     (_CompositionLaw("pre_i_continuous", "continuous", "precontinuous"),),
      "pre-I-continuous then continuous composes to precontinuous"),
     ("tt7", "maps", "none",
      ("i_continuous => pre_i_continuous & star_i_continuous",
@@ -278,17 +424,11 @@ def _law(text: str, leaf) -> tuple[_claims.Packed, tuple[str, ...], tuple[_claim
     return _claims.compile_claim(ast, leaf), atoms, tuple(leaf(atom) for atom in atoms)
 
 
-def _law_text(check: TheoremCheck, direction: str | None) -> str | _PairLaw | _FamilyLaw | None:
-    """The law a witness of this direction violates; None if there is none."""
+def _law_for(check: TheoremCheck, direction: str | None) -> str | _Declaration | None:
+    """The claim or declaration a witness of this direction violates, if any."""
     if check.directional:
         return dict(zip(_DIRECTIONS, check.laws)).get(direction)
-    return check.laws[0] if check.laws and direction is None else None
-
-
-def _declaration(check: TheoremCheck) -> _PairLaw | _FamilyLaw | None:
-    """The pair or family law a check declares; None for other checks."""
-    law = check.laws[0] if check.laws else None
-    return law if isinstance(law, (_PairLaw, _FamilyLaw)) else None
+    return check.laws[0] if direction is None else None
 
 
 # --- witnesses and reports ---------------------------------------------------
@@ -509,120 +649,36 @@ def _packing(scope: str, n: int) -> _SetPacking | _MapPacking:
     return _SetPacking(n) if scope == "sets" else _MapPacking(n)
 
 
-# --- custom checks ----------------------------------------------------------------
+# --- second hops of the composition laws ------------------------------------
 
-def _run_set_check(check: TheoremCheck, sa: SpaceAnalysis, found: list) -> int:
-    """Run one space's worth of instances of a custom set check; returns the
-    number visited.  Each violation is appended to found as (kind, data,
-    trace)."""
-    cid = check.id
-    if cid == "t5.iv" or cid == "t5.v":
-        fam, semi = sa.pio_family, sa.ta.semi_family
-        visited = 0
-        for a in fam:
-            for b in semi:
-                carrier = a if cid == "t5.iv" else b
-                if carrier == 0:
-                    continue  # empty subspace carrier; the intersection is empty anyway
-                visited += 1
-                sub, sta = sa.ta.sub_tables(carrier)
-                cut = sub.restrict(a & b)
-                ok = sta.semi_bits >> cut & 1 if cid == "t5.iv" else sta.preopen_t[cut]
-                if not ok:
-                    found.append(("set_pair", {"first": a, "second": b},
-                                  {"pre_i_open(first)": True, "semi_open(second)": True,
-                                   "holds_in_subspace": False}))
-        return visited
-    if cid == "l1":
-        star = sa.star_t
-        for u in sa.sp.topo.opens:
-            for a in range(sa.size):
-                rel = star[u & a]
-                if u & star[a] != u & rel or (u & star[a]) & ~rel:
-                    found.append(("set_pair", {"first": u, "second": a},
-                                  {"equality": u & star[a] == u & rel,
-                                   "containment": (u & star[a]) & ~rel == 0}))
-        return len(sa.sp.topo.opens) * sa.size
-    if cid == "isi_consistency":
-        gen = sa.sp.ideal.gen
-        if gen == sa.full:
-            if not sa.props.i_strongly_irresolvable:
-                found.append(("set_family", {"ideal": "maximal"},
-                              {"i_strongly_irresolvable": False}))
-            return 1
-        if gen == 0:
-            classical = all(a in sa.sp.topo.opens_set for a in sa.pio_family)
-            if sa.props.i_strongly_irresolvable != classical:
-                found.append(("set_family", {"ideal": "minimal"},
-                              {"i_strongly_irresolvable": sa.props.i_strongly_irresolvable,
-                               "pio_inside_tau": classical}))
-            return 1
-        return 0
-    raise UnknownTheoremId(cid)
+@lru_cache(maxsize=None)
+def _second_hops(n: int, second: str) -> tuple[list[int], list[list[int]], int]:
+    """The second hops of a composition law on n points, in _MapPacking's
+    (codomain, map) layout: per middle topology, the bits of the maps out of
+    it that satisfy the second atom; comp[fi][gi], the index of map gi after
+    map fi; and the bit (ui, 0) of every codomain ui."""
+    packing = _packing("maps", n)
+    tab_index = {t: i for i, t in enumerate(packing.tabs)}
+    # read on the tables of the middle topology alone: an atom that reads
+    # the middle ideal, which is not quantified, fails here
+    packed = [packing.family(SimpleNamespace(ta=TopologyAnalysis(t)), second)
+              for t in packing.topos]
+    comp = [[tab_index[tuple(g[y] for y in f)] for g in packing.tabs] for f in packing.tabs]
+    return packed, comp, sum(1 << (ui * len(packing.tabs)) for ui in range(len(packing.topos)))
 
 
-class _MapPairSweep:
-    """tt5 on carriers of size n: both hops, with the middle ideal not
-    quantified, since no hypothesis or conclusion reads it.  Both legs share
-    one pass over the pairs of a domain space."""
-
-    def __init__(self, n: int):
-        self.topos = topos = topologies(n)
-        self.tabs = tabs = maps(n, n)
-        self.preims = preims = _preimage_tables(n)
-        tab_index = {t: i for i, t in enumerate(tabs)}
-        self.comp = [[tab_index[tuple(g[y] for y in f)] for g in tabs] for f in tabs]
-        opens_sets = [t.opens_set for t in topos]
-        # continuous second hops depend only on the two topologies
-        self.cont_pairs = [
-            [(ui, gi) for ui in range(len(topos)) for gi in range(len(tabs))
-             if all(preims[gi][w] in opens_sets[si] for w in topos[ui].opens)]
-            for si in range(len(topos))]
-
-    def run(self, sa: SpaceAnalysis, active: list, acc: dict, emit) -> int:
-        """Every pair on one domain space through the active legs, given as
-        (key, check), counted in acc and each violation passed to emit;
-        returns the number of pairs checked."""
-        n, topos, tabs, preims, comp = sa.n, self.topos, self.tabs, self.preims, self.comp
-        checked = 0
-        base = _space_data(sa.sp)
-        pio_t = sa.pio_t
-        # per leg: the table of its conclusion's family, and the verdicts per
-        # (codomain, composed map) it has seen on this space
-        legs = [(key, check.id, pio_t if check.id == "tt5.i" else sa.ta.preopen_t, {})
-                for key, check in active]
-        for si, pairs in enumerate(self.cont_pairs):
-            mid_opens = topos[si].opens
-            for fi, ptf in enumerate(preims):
-                if not all(pio_t[ptf[v]] for v in mid_opens):
-                    continue
-                checked += len(pairs)
-                comp_f = comp[fi]
-                for ui, gi in pairs:
-                    hi = comp_f[gi]
-                    key_h = (ui, hi)
-                    for key, cid, table, cache in legs:
-                        ok = cache.get(key_h)
-                        if ok is None:
-                            pth = preims[hi]
-                            ok = cache[key_h] = all(table[pth[w]] for w in topos[ui].opens)
-                        if not ok:
-                            emit(key, Witness(
-                                n=n, kind="map_pair", check_id=cid,
-                                direction=None, claim=None,
-                                data=base + (
-                                    ("mid_topology", topos[si].opens),
-                                    ("map_first", tabs[fi]),
-                                    ("cod_topology", topos[ui].opens),
-                                    ("map_second", tabs[gi]),
-                                ),
-                                trace=(("composition_conclusion", False),
-                                       ("first_pre_i_continuous", True),
-                                       ("second_continuous", True)),
-                            ))
-        for key, _ in active:
-            acc[key][0] += checked
-        return checked
+# on 3 points every first hop of both tt5 legs fits; on 4 points an entry is
+# an 11 kB int, and all 90,880 first hops would take about 1 GB
+@lru_cache(maxsize=4096)
+def _reach(n: int, second: str, first: int) -> int:
+    """The (codomain, composed map) bits the second hops reach after first
+    hop (si, fi): the codomains each map gi admits, moved onto g . f."""
+    packed, comp, column = _second_hops(n, second)
+    si, fi = divmod(first, len(comp))
+    out = 0
+    for gi, hi in enumerate(comp[fi]):
+        out |= (packed[si] >> gi & column) << hi
+    return out
 
 
 # --- the sweep -------------------------------------------------------------------
@@ -637,7 +693,7 @@ def _legs(check: TheoremCheck, direction: str, leaf) -> list[tuple]:
     """(witness direction, packed law, sorted law atoms, their readers) per
     swept direction."""
     swept = [d for d in _DIRECTIONS if direction in ("both", d)] if check.directional else [None]
-    return [(d, *_law(_law_text(check, d), leaf)) for d in swept]
+    return [(d, *_law(_law_for(check, d), leaf)) for d in swept]
 
 
 @lru_cache(maxsize=None)
@@ -672,32 +728,29 @@ def _sweep_partition(args):
         if len(entry[2]) < max_witnesses:
             entry[2].append(witness)
 
-    map_packing = pair_sweep = None
-    laws, runs, pair_legs = [], [], []
+    map_packing = None
+    laws, runs = [], []
     for key, cid, direction, hypothesis in resolved:
         check = REGISTRY[cid]
         passes = None if hypothesis == "none" else _SPACE_PASSES[hypothesis]  # None: all pass
-        if check.scope == "map_pairs":
-            pair_sweep = pair_sweep or _MapPairSweep(n)
-            pair_legs.append((key, check, _SPACE_PASSES[hypothesis]))
-        elif check.scope in ("sets", "maps"):
-            packing = _packing(check.scope, n)
-            if packing.kind == "map":
-                map_packing = packing
+        law = check.laws[0]
+        declared = isinstance(law, _Declaration)
+        packing = _packing(law.reads if declared else check.scope, n)
+        if packing.kind == "map":
+            map_packing = packing
+        if not declared:
             legs = _legs(check, direction, packing.leaf)
             carrier_only = check.id in _CARRIER_ONLY
             laws.append((key, check, passes, packing, legs, tuple(leg[1] for leg in legs),
                          1 << ((1 << n) - 1) if carrier_only else packing.full,
                          1 if carrier_only else packing.structures))
         else:
-            law = _declaration(check)
-            runs.append((key, check, passes,
-                         law.run if law is not None else partial(_run_set_check, check)))
-    spaces = pairs_checked = 0
-    found: list[tuple] = []   # violations of one pair, family or custom check on one space
+            runs.append((key, check, passes, packing, law))
+    spaces = 0
+    found: list[tuple] = []   # (data, trace) per violation of one declaration on one space
     for sa in _spaces(n, topo_lo, topo_hi):
         spaces += 1
-        # map atoms are built on their first read, by a law the space admits
+        # map atoms are built on their first read, by a check the space admits
         map_values = map_packing.values(sa) if map_packing else None
         for key, check, passes, packing, legs, packed, checked, per_space in laws:
             if passes and not passes(sa):
@@ -721,28 +774,22 @@ def _sweep_partition(args):
                     data=base + packing.data(bit),
                     trace=_trace(atoms, tuple(read(values) >> bit & 1 for read in readers)),
                 ))
-        for key, check, passes, run in runs:
+        for key, check, passes, packing, law in runs:
             if passes and not passes(sa):
                 continue
-            acc[key][0] += run(sa, found)
+            acc[key][0] += law.run(map_values if packing is map_packing else sa, found)
             if found:
                 base = _space_data(sa.sp)
-                for kind, data, trace in found:
-                    emit(key, Witness(
-                        n=n, kind=kind, check_id=check.id, direction=None, claim=None,
-                        data=base + tuple(sorted(data.items())),
-                        trace=tuple(sorted(trace.items())),
-                    ))
+                for data, trace in found:
+                    emit(key, Witness(n=n, kind=law.kind, check_id=check.id, direction=None,
+                                      claim=None, data=base + data, trace=trace))
                 found.clear()
-        if pair_legs:
-            active = [(key, check) for key, check, passes in pair_legs if passes(sa)]
-            if active:
-                pairs_checked += pair_sweep.run(sa, active, acc, emit)
     counts = {"spaces": spaces}
-    if map_packing:
+    if any(entry[3] is map_packing for entry in laws):
         counts["map_structures"] = spaces * map_packing.structures
-    if pair_sweep:
-        counts["map_pairs_checked"] = pairs_checked
+    for key, _, _, _, law in runs:
+        if law.scope_count:
+            counts[law.scope_count] = acc[key][0]
     return acc, counts
 
 
@@ -769,8 +816,7 @@ def resolve_selection(selection, direction=None, hypothesis=None):
         if direc != "both" and not check.directional:
             raise NotDirectional(f"check {cid} has no directions")
         hyp = hypothesis if hypothesis is not None else check.hypothesis
-        if hyp in ("hs",):
-            hyp = "hayashi_samuels"
+        hyp = {"hs": "hayashi_samuels"}.get(hyp, hyp)
         if hyp not in HYPOTHESES:
             raise TopoidealError(f"unknown hypothesis {hyp!r}")
         key = cid if direc == "both" else f"{cid}.{direc}"
@@ -873,10 +919,17 @@ def check_direction(check_id: str, direction: str, hypothesis: str | None = None
 
 # --- claim search ----------------------------------------------------------------
 
+def _check_search_bound(bound: int) -> None:
+    # a bound below 1 leaves nothing to search, which would read as exhausted
+    if bound < 1:
+        raise TopoidealError(f"search bound must be >= 1, got {bound}")
+
+
 def find_counterexample(claim, scope: str, bound: int) -> Witness | None:
     """First structure, in enumeration order over carriers 1..bound, that
     satisfies the claim; None when the scope is exhausted.  The claim is
     evaluated on the packed values the sweep uses, a space at a time."""
+    _check_search_bound(bound)
     ast = _claims.parse_claim(claim) if isinstance(claim, str) else claim
     text = _claims.print_claim(ast)
     atoms = _claims.atoms_of(ast)
@@ -906,6 +959,7 @@ def find_composition_counterexample(bound: int = 3) -> Witness | None:
     """First pair of pre-I-continuous maps whose composition is not
     pre-I-continuous, searching carriers 1..bound; both hops and the middle
     ideal are quantified."""
+    _check_search_bound(bound)
     for n in range(1, bound + 1):
         topos = topologies(n)
         tabs = maps(n, n)
@@ -955,12 +1009,13 @@ def _rebuild_space(data: dict, n: int) -> IdealSpace:
     return IdealSpace(topo, principal_ideal(n, data["ideal_gen"]))
 
 
-def _rebuild_pair(data: dict, n: int, mid_gen: int) -> tuple[SpaceMap, SpaceMap, SpaceMap]:
-    """Both hops of a map-pair witness and their composition."""
-    mid = make_topology(n, data["mid_topology"])
-    f = SpaceMap(_rebuild_space(data, n), mid, tuple(data["map_first"]))
-    g = SpaceMap(IdealSpace(mid, principal_ideal(n, mid_gen)),
-                 make_topology(n, data["cod_topology"]), tuple(data["map_second"]))
+def _rebuild_pair(sp: IdealSpace, data: dict,
+                  mid_gen: int) -> tuple[SpaceMap, SpaceMap, SpaceMap]:
+    """Both hops of a map-pair witness on domain space sp, and their composition."""
+    mid = make_topology(sp.n, data["mid_topology"])
+    f = SpaceMap(sp, mid, tuple(data["map_first"]))
+    g = SpaceMap(IdealSpace(mid, principal_ideal(sp.n, mid_gen)),
+                 make_topology(sp.n, data["cod_topology"]), tuple(data["map_second"]))
     return f, g, compose(f, g)
 
 
@@ -979,71 +1034,31 @@ def _definitional_values(kind: str, data: dict, n: int) -> dict[str, bool]:
     return values
 
 
-def _replay_set_check(cid: str, sp: IdealSpace, data: dict) -> bool:
-    """Replay of a custom set-pair or set-family witness."""
-    topo = sp.topo
-    if cid in ("t5.iv", "t5.v"):
-        a, b = data["first"], data["second"]
-        carrier = a if cid == "t5.iv" else b
-        if not (is_pre_i_open(sp, a) and is_semi_open(topo, b)) or carrier == 0:
-            return False
-        sub = subspace(topo, carrier)
-        cut = sub.restrict(a & b)
-        if cid == "t5.iv":
-            return not is_semi_open(sub.topo, cut)
-        return not is_preopen(sub.topo, cut)
-    if cid == "l1":
-        u, a = data["first"], data["second"]
-        if not topo.is_open(u):
-            return False
-        rel = local_function(sp, u & a)
-        whole = u & local_function(sp, a)
-        return whole != u & rel or bool(whole & ~rel)
-    if cid == "isi_consistency":
-        props = space_props(sp)
-        if sp.ideal.gen == topo.full:
-            return not props.i_strongly_irresolvable
-        classical = all(topo.is_open(m) for m in pio_family(sp))
-        return props.i_strongly_irresolvable != classical
-    raise UnknownTheoremId(cid)
-
-
 def replay_witness(w: Witness) -> bool:
     """Re-evaluate a witness on freshly built objects through the definitional
     route; True when it still witnesses what it claims to."""
     data = w.data_dict()
-    if w.kind in ("set", "map"):
-        # a claim witness satisfies its claim, a check witness violates its law;
-        # either way the trace must give the claim's atoms as they are
-        if w.check_id is None:
-            text, wanted = w.claim, True
-        else:
-            text, wanted = _law_text(REGISTRY[w.check_id], w.direction), False
-            if not isinstance(text, str):   # no claim law: none, or a pair or family law
-                return False
-            if w.check_id in _CARRIER_ONLY and data["subset"] != (1 << w.n) - 1:
-                return False
-        ast = _claims.parse_claim(text)
-        values = _definitional_values(w.kind, data, w.n)
-        if _claims.evaluate(ast, values) != wanted:
+    if w.check_id is None:
+        if w.kind == "map_pair":   # from the composition search
+            f, g, h = _rebuild_pair(_rebuild_space(data, w.n), data, data["mid_ideal_gen"])
+            return (map_classes(f).pre_i_continuous
+                    and map_classes(g).pre_i_continuous
+                    and not map_classes(h).pre_i_continuous)
+        text, wanted = w.claim, True
+    else:
+        text, wanted = _law_for(REGISTRY[w.check_id], w.direction), False
+        if not isinstance(text, str):   # a declaration, or no law of this direction
+            return (isinstance(text, _Declaration) and w.kind == text.kind
+                    and text.replay(_rebuild_space(data, w.n), data) == w.trace)
+        if w.check_id in _CARRIER_ONLY and data["subset"] != (1 << w.n) - 1:
             return False
-        return (tuple(name for name, _ in w.trace) == tuple(sorted(_claims.atoms_of(ast)))
-                and all(values[name] == value for name, value in w.trace))
-    if w.check_id is None:   # map_pair from the composition search
-        f, g, h = _rebuild_pair(data, w.n, data["mid_ideal_gen"])
-        return (map_classes(f).pre_i_continuous
-                and map_classes(g).pre_i_continuous
-                and not map_classes(h).pre_i_continuous)
-    cid = w.check_id
-    law = _declaration(REGISTRY[cid])
-    if law is not None:
-        return (w.kind == law.kind and w.trace == tuple(sorted(law.trace().items()))
-                and law.replay(_rebuild_space(data, w.n), data))
-    if REGISTRY[cid].scope != "map_pairs":
-        return _replay_set_check(cid, _rebuild_space(data, w.n), data)
-    # tt5: the middle ideal is not quantified
-    f, g, h = _rebuild_pair(data, w.n, 0)
-    if not (map_classes(f).pre_i_continuous and map_classes(g).continuous):
+    if w.kind not in ("set", "map"):
         return False
-    hv = map_classes(h)
-    return not (hv.pre_i_continuous if cid == "tt5.i" else hv.precontinuous)
+    # a claim witness satisfies its claim, a check witness violates its law;
+    # either way the trace must give the claim's atoms as they are
+    ast = _claims.parse_claim(text)
+    values = _definitional_values(w.kind, data, w.n)
+    if _claims.evaluate(ast, values) != wanted:
+        return False
+    return (tuple(name for name, _ in w.trace) == tuple(sorted(_claims.atoms_of(ast)))
+            and all(values[name] == value for name, value in w.trace))

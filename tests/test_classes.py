@@ -174,9 +174,9 @@ def test_star_perfect_collapses_open_i_open_pio():
 
 
 def _assert_indexed_tables_match(sp):
-    # the tables the custom pair and composition checks index, and the
-    # families the pair and family laws read through SET_ATOMS; every packed
-    # atom family is pinned bit by bit in test_fast_route
+    # the tables l1 and the composition search index, and the families the
+    # declared laws read through SET_ATOMS; every packed atom family is
+    # pinned bit by bit in test_fast_route
     sa = SpaceAnalysis(sp)
     full = sp.topo.full
     every = range(1 << sp.n)
@@ -184,7 +184,7 @@ def _assert_indexed_tables_match(sp):
         v = set_classes(sp, a)
         assert sa.pio_t[a] == v.pre_i_open
         assert (SET_ATOMS["pre_i_closed"](sa) >> a & 1 == 1) == v.pre_i_closed
-        assert sa.ta.preopen_t[a] == v.preopen
+        assert (SET_ATOMS["preopen"](sa) >> a & 1 == 1) == v.preopen
         assert sa.star_t[a] == local_function_oracle(sp, a)
         assert sa.ta.interior_t[a] == interior_oracle(sp.topo, a)
         assert sa.ta.closure_t[a] == closure_oracle(sp.topo, a)
@@ -192,7 +192,7 @@ def _assert_indexed_tables_match(sp):
         "pio_family": (sa.pio_family, "pre_i_open"),
         "perfect_family": (sa.perfect_family, "star_perfect"),
         "preopen_family": (tuple(bits(SET_ATOMS["preopen"](sa))), "preopen"),
-        "semi_family": (sa.ta.semi_family, "semi_open"),
+        "semi_family": (tuple(bits(SET_ATOMS["semi_open"](sa))), "semi_open"),
         "alpha_family": (tuple(bits(SET_ATOMS["alpha_open"](sa))), "alpha_open"),
         "closed_family": (tuple(bits(SET_ATOMS["closed"](sa))), "closed"),
     }

@@ -19,6 +19,7 @@ from topoideal.files import (
     serialize_space,
 )
 from topoideal.cli import main
+from topoideal.verify import run_theorem_suite
 from util import mask, s1_space, s2_space, spaces
 
 S1_TEXT = """\
@@ -261,6 +262,22 @@ def test_cli_search_not_found(capsys):
     assert main(["search", "--claim", "pre_i_open & !preopen",
                  "--scope", "sets", "--max-points", "3"]) == 1
     assert capsys.readouterr().out.strip() == "no witness"
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_cli_search_rejects_a_bound_below_one(bound, capsys):
+    assert main(["search", "--claim", "preopen & !pre_i_open",
+                 "--scope", "sets", "--max-points", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ">= 1" in captured.err
+
+
+def test_cli_verify_hs_is_the_suite_hs_hypothesis(capsys):
+    assert main(["verify", "--points", "2", "--suite", "tt42,tt43",
+                 "--hypothesis", "hs", "--json"]) == 0
+    report = run_theorem_suite(2, "tt42,tt43", hypothesis="hs")
+    assert capsys.readouterr().out == report.to_json() + "\n"
+    assert {r.hypothesis for r in report.results} == {"hayashi_samuels"}
 
 
 def test_cli_search_parse_error(capsys):

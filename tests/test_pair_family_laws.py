@@ -1,11 +1,12 @@
-"""Pair and family laws against the definitional route, and the one space
-loop of the sweep.
+"""Pair and family laws, l1 and isi_consistency against the definitional
+route, and the one space loop of the sweep.
 
-Each closure lemma over subset pairs (t5.i-iii, c1.i-ii) is a pair law and
-each family equality (t4.i-iii, submax) a family law, declared once in the
-registry.  Every declaration is pinned to a reference sweep that classifies
-one pair, or one space, at a time; a packed conclusion family with one
-wrong bit must make every pair law report the reference's witnesses; and
+Each lemma over subset pairs (t5.i-v, c1.i-ii) is a pair law, each family
+equality (t4.i-iii, submax) a family law, and l1 and isi_consistency are
+one declaration each, all in the registry.  Every declaration is pinned to
+a reference sweep that classifies one pair, or one space, at a time; a
+corrupted table or family must make every one of them report the
+reference's witnesses, which replay through the same corruption; and
 replay must accept real witnesses and reject doctored ones.
 """
 
@@ -14,26 +15,40 @@ import dataclasses
 import pytest
 
 import topoideal.verify as verify
+import util
 from topoideal.analysis import SET_ATOMS, SpaceAnalysis
 from topoideal.classes import set_classes
-from topoideal.core import IdealSpace, make_topology, principal_ideal
-from topoideal.verify import REGISTRY, _declaration, replay_witness, run_theorem_suite
-from util import FAMILY_LAW_ORACLES, PAIR_LAW_ORACLES, reference_pair_report
+from topoideal.core import IdealSpace, local_function, make_topology, principal_ideal
+from topoideal.verify import REGISTRY, replay_witness, run_theorem_suite
+from util import (
+    COMPOSITION_LAW_ORACLES,
+    FAMILY_LAW_ORACLES,
+    OTHER_SPACE_ORACLES,
+    PAIR_LAW_ORACLES,
+    reference_pair_report,
+)
 
 EVERY_WITNESS = 10 ** 6
-DECLARED = [*PAIR_LAW_ORACLES, *FAMILY_LAW_ORACLES]
+DECLARED = [*PAIR_LAW_ORACLES, *FAMILY_LAW_ORACLES, *OTHER_SPACE_ORACLES]
 
 
 def test_declarations_are_the_pair_and_family_lemmas():
     for cid, law in PAIR_LAW_ORACLES.items():
-        assert tuple(_declaration(REGISTRY[cid])) == law, cid
+        assert REGISTRY[cid].laws == (verify._PairLaw(*law),), cid
         assert REGISTRY[cid].scope == "set_pairs"
     for cid, atom in FAMILY_LAW_ORACLES.items():
-        assert tuple(_declaration(REGISTRY[cid])) == (atom,), cid
+        assert REGISTRY[cid].laws == (verify._FamilyLaw(atom),), cid
         assert REGISTRY[cid].scope == "set_families"
-    custom = {cid for cid, check in REGISTRY.items()
-              if check.scope.startswith("set_") and _declaration(check) is None}
-    assert custom == {"t5.iv", "t5.v", "l1", "isi_consistency"}
+    for cid, law in COMPOSITION_LAW_ORACLES.items():
+        assert REGISTRY[cid].laws == (verify._CompositionLaw(*law),), cid
+    assert isinstance(REGISTRY["l1"].laws[0], verify._StarLaw)
+    assert isinstance(REGISTRY["isi_consistency"].laws[0], verify._IrresolvableLaw)
+    # no custom check is left: every row carries its law, and every law
+    # that is not a claim has a run and a replay of its own
+    for cid, check in REGISTRY.items():
+        assert check.laws, cid
+        for law in check.laws:
+            assert isinstance(law, str) or callable(law.run) and callable(law.replay), cid
 
 
 def _cases():
@@ -50,12 +65,21 @@ def test_declared_law_matches_reference_sweep(cid, hypothesis, n):
     assert got.to_json() == want.to_json()
 
 
+def _dropping(flag, dropped):
+    """set_classes with flag forced false on subset `dropped` of every space."""
+    def classes(sp, a):
+        vector = set_classes(sp, a)
+        return dataclasses.replace(vector, **{flag: False}) if a == dropped else vector
+    return classes
+
+
 @pytest.mark.parametrize("cid", list(PAIR_LAW_ORACLES))
 def test_corrupted_conclusion_family_reports_reference_witnesses(cid, monkeypatch):
     # drop the subset the operation always reaches from the conclusion's
-    # family: the carrier for unions, the empty set for intersections
+    # family: the carrier for unions, the empty set for intersections (in
+    # a subspace too); replay reads the same corruption
     n = 3
-    _, _, op, conclusion = PAIR_LAW_ORACLES[cid]
+    _, _, op, conclusion, _ = PAIR_LAW_ORACLES[cid]
     dropped = (1 << n) - 1 if op == "union" else 0
     family = SET_ATOMS[conclusion]
     monkeypatch.setitem(SET_ATOMS, conclusion, lambda sa: family(sa) & ~(1 << dropped))
@@ -64,6 +88,52 @@ def test_corrupted_conclusion_family_reports_reference_witnesses(cid, monkeypatc
                                  drop={conclusion: dropped})
     assert got.results[0].violation_count > 0
     assert got.to_json() == want.to_json()
+    monkeypatch.setattr(verify, "set_classes", _dropping(conclusion, dropped))
+    assert all(replay_witness(w) for w in got.violations)
+
+
+def test_corrupted_local_function_makes_l1_report_reference_witnesses(monkeypatch):
+    # point 0 toggled in X*: U & X* then differs from U & U* for every open
+    # U through point 0 but the carrier
+    def toggled(star):
+        return lambda sp, a: star(sp, a) ^ (a == sp.topo.full)
+
+    table = SpaceAnalysis.__dict__["star_t"].func
+    monkeypatch.setattr(SpaceAnalysis, "star_t", property(
+        lambda sa: [star ^ (a == sa.full) for a, star in enumerate(table(sa))]))
+    got = run_theorem_suite(3, ["l1"], max_witnesses=EVERY_WITNESS)
+    want = reference_pair_report(3, "l1", "none", max_witnesses=EVERY_WITNESS,
+                                 star=toggled(util.local_function_oracle))
+    assert got.results[0].violation_count > 0
+    assert got.to_json() == want.to_json()
+    monkeypatch.setattr(verify, "local_function", toggled(local_function))
+    assert all(replay_witness(w) for w in got.violations)
+    # U must be open
+    w = next(w for w in got.violations if len(w.data_dict()["topology"]) < 8)
+    not_open = next(m for m in range(8) if m not in w.data_dict()["topology"])
+    assert not replay_witness(_with_data(w, first=not_open))
+
+
+def test_flipped_irresolvability_makes_isi_consistency_report_reference_witnesses(monkeypatch):
+    # every visited space then violates: strong irresolvability holds under
+    # the maximal ideal, and equals "pre-I-open sets are open" under the minimal
+    flag = "i_strongly_irresolvable"
+    family = SET_ATOMS[flag]
+    monkeypatch.setitem(SET_ATOMS, flag, lambda sa: family(sa) ^ sa.all_bits)
+    got = run_theorem_suite(3, ["isi_consistency"], max_witnesses=EVERY_WITNESS)
+    want = reference_pair_report(3, "isi_consistency", "none", max_witnesses=EVERY_WITNESS,
+                                 flip={flag})
+    result = got.results[0]
+    assert result.violation_count == result.visited > 0
+    assert got.to_json() == want.to_json()
+    props = verify.space_props
+    monkeypatch.setattr(verify, "space_props", lambda sp: dataclasses.replace(
+        props(sp), **{flag: not getattr(props(sp), flag)}))
+    assert all(replay_witness(w) for w in got.violations)
+    # the recorded ideal must be the space's
+    for w in got.violations[:2]:
+        other = {"minimal": "maximal", "maximal": "minimal"}[w.data_dict()["ideal"]]
+        assert not replay_witness(_with_data(w, ideal=other))
 
 
 @pytest.mark.parametrize("cid,violations", [

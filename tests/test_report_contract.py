@@ -1,8 +1,9 @@
 """The machine form of a report is a contract: for a given selection,
 carrier size and options, `Report.to_json()` stays the same byte for byte.
 
-The digests below were recorded from the sweep before its per-scope loops
-were merged into one space loop; any change to what a sweep visits,
+The first three digests were recorded from the sweep before its per-scope
+loops were merged into one space loop, the two tt5 digests before tt5
+became a packed composition law; any change to what a sweep visits,
 counts, reports or in which order shows up here.
 """
 
@@ -19,11 +20,21 @@ CONTRACT = [
      "a831ea405091a21079772a389233a809e5780110392910bcae5fc756c9bc1115"),
     ((3, "t4,t5,c1,l1,submax,isi_consistency"), {"hypothesis": "none"},
      "e32dc1b574ae914413dadd1ba5b7e40b8b9256c68067d2ea190273edbacdd8ee"),
+    ((3, "tt5"), {},
+     "6f6e3f5cd6ebdb1e3dfcfa7c45edab635e8f0edfc35b9d3e5e5f969616d77f4d"),
+    ((3, "tt5"), {"hypothesis": "hayashi_samuels"},
+     "2bc13471124d9b0c7e75b4bc8f9538ce11f4bc21bcd6c80c637fc25b0c423a2b"),
 ]
 
 
 @pytest.mark.parametrize("args,kwargs,digest", CONTRACT,
-                         ids=["sets4-all", "all2-none-every-witness", "pairs-families3-none"])
+                         ids=["sets4-all", "all2-none-every-witness", "pairs-families3-none",
+                              "tt5-3", "tt5-3-hayashi-samuels"])
 def test_report_json_digest(args, kwargs, digest):
     report = run_theorem_suite(*args, **kwargs)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_tt5_report_is_the_same_under_two_jobs():
+    serial = run_theorem_suite(3, "tt5")
+    assert run_theorem_suite(3, "tt5", jobs=2).to_json() == serial.to_json()

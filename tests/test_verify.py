@@ -4,6 +4,7 @@ import pytest
 
 from topoideal.analysis import SET_ATOMS, SpaceAnalysis
 from topoideal.claims import UnknownAtom
+from topoideal.core import TopoidealError
 from topoideal.verify import (
     REGISTRY,
     CarrierTooLargeForSuite,
@@ -127,6 +128,19 @@ def test_composition_counterexample():
     assert w is not None and w.n <= 3
     assert replay_witness(w)
     assert find_composition_counterexample(1) is None
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_find_counterexample_rejects_a_bound_below_one(bound):
+    # nothing would be searched, and None would read as an exhausted scope
+    with pytest.raises(TopoidealError, match=">= 1"):
+        find_counterexample("preopen & !pre_i_open", "sets", bound)
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_find_composition_counterexample_rejects_a_bound_below_one(bound):
+    with pytest.raises(TopoidealError, match=">= 1"):
+        find_composition_counterexample(bound)
 
 
 def test_selection_groups_and_errors():

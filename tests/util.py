@@ -25,8 +25,9 @@ from topoideal.core import (
     principal_ideal,
     space_props,
     submasks,
+    subspace,
 )
-from topoideal.maps import SpaceMap, check_pre_i_continuity_equivalences, map_classes
+from topoideal.maps import SpaceMap, check_pre_i_continuity_equivalences, compose, map_classes
 from topoideal.verify import CheckResult, Report, Witness
 
 
@@ -337,19 +338,24 @@ def reference_map_report(n: int, check_id: str, direction: str, hypothesis: str,
 
 
 # Reference sweep for the pair and family laws.  A pair law (first, second,
-# op, conclusion) says that first(a) and second(b) give conclusion(a op b)
-# for every pair of subsets; a family law says that the pre-I-open family
-# equals the family of its atom.
+# op, conclusion, within) says that first(a) and second(b) give
+# conclusion(a op b) for every pair of subsets; with within set, the
+# conclusion is read in the subspace on the first or the second subset.  A
+# family law says that the pre-I-open family equals the family of its atom.
 PAIR_LAW_ORACLES = {
-    "t5.i": ("pre_i_open", "pre_i_open", "union", "pre_i_open"),
-    "t5.ii": ("pre_i_open", "open", "intersection", "pre_i_open"),
-    "t5.iii": ("pre_i_open", "alpha_open", "intersection", "preopen"),
-    "c1.i": ("pre_i_closed", "pre_i_closed", "intersection", "pre_i_closed"),
-    "c1.ii": ("pre_i_closed", "closed", "union", "pre_i_closed"),
+    "t5.i": ("pre_i_open", "pre_i_open", "union", "pre_i_open", None),
+    "t5.ii": ("pre_i_open", "open", "intersection", "pre_i_open", None),
+    "t5.iii": ("pre_i_open", "alpha_open", "intersection", "preopen", None),
+    "t5.iv": ("pre_i_open", "semi_open", "intersection", "semi_open", "first"),
+    "t5.v": ("pre_i_open", "semi_open", "intersection", "preopen", "second"),
+    "c1.i": ("pre_i_closed", "pre_i_closed", "intersection", "pre_i_closed", None),
+    "c1.ii": ("pre_i_closed", "closed", "union", "pre_i_closed", None),
 }
 FAMILY_LAW_ORACLES = {
     "t4.i": "preopen", "t4.ii": "open", "t4.iii": "preopen", "submax": "open",
 }
+# the checks with a sweep of their own below
+OTHER_SPACE_ORACLES = ("l1", "isi_consistency")
 
 
 @lru_cache(maxsize=None)
@@ -359,12 +365,85 @@ def all_set_flags(n: int) -> tuple:
                  for sp in all_spaces_bruteforce(n))
 
 
-def reference_pair_report(n: int, check_id: str, hypothesis: str,
-                          max_witnesses: int = 25, drop=None) -> Report:
-    """The report run_theorem_suite should give for one pair or family law:
-    pair laws pair by pair, family laws space by space, from set_classes and
-    pio_family.  drop maps a flag name to one subset whose flag is forced
-    false on every space, mirroring a packed family with that bit cleared."""
+@lru_cache(maxsize=None)
+def subspace_flags(topo: FiniteTopology, carrier: int, a: int) -> dict[str, bool]:
+    """Flags of a & carrier in the subspace on carrier, under the minimal ideal."""
+    sub = subspace(topo, carrier)
+    return set_classes(IdealSpace(sub.topo, principal_ideal(sub.topo.n, 0)),
+                       sub.restrict(a)).as_dict()
+
+
+def _pair_law_violations(sp, flags, check_id, drop):
+    first, second, op, conclusion, within = PAIR_LAW_ORACLES[check_id]
+
+    def has(atom, a):
+        return flags[a][atom] and drop.get(atom) != a
+
+    visited, found = 0, []
+    held = "holds_in_subspace" if within else f"{conclusion}({op})"
+    trace = tuple(sorted({f"{first}(first)": True, f"{second}(second)": True,
+                          held: False}.items()))
+    for a in range(1 << sp.n):
+        for b in range(1 << sp.n):
+            if not (has(first, a) and has(second, b)):
+                continue
+            joined = a | b if op == "union" else a & b
+            if within:
+                carrier = a if within == "first" else b
+                if carrier == 0:
+                    continue   # no subspace on the empty set
+                sub = subspace(sp.topo, carrier)
+                held = (subspace_flags(sp.topo, carrier, joined)[conclusion]
+                        and drop.get(conclusion) != sub.restrict(joined))
+            else:
+                held = has(conclusion, joined)
+            visited += 1
+            if not held:
+                found.append(("set_pair", (("first", a), ("second", b)), trace))
+    return visited, found
+
+
+def _l1_violations(sp, star):
+    """l1 pair by pair: for open U, U & A* == U & (U & A)* <= (U & A)*."""
+    found = []
+    for u in sp.topo.opens:
+        for a in range(1 << sp.n):
+            whole, rel = u & star(sp, a), star(sp, u & a)
+            equality, containment = whole == u & rel, whole & ~rel == 0
+            if not (equality and containment):
+                found.append(("set_pair", (("first", u), ("second", a)),
+                              (("containment", containment), ("equality", equality))))
+    return len(sp.topo.opens) << sp.n, found
+
+
+def _isi_violations(sp, flip):
+    """isi_consistency on a space under the maximal or the minimal ideal,
+    strong irresolvability read as "every pre-I-open set is tau-star open"."""
+    gen, full = sp.ideal.gen, sp.topo.full
+    if gen not in (0, full):
+        return 0, []
+    pio = pio_family(sp)
+    isi = (set(pio) <= tau_star_oracle(sp)) != ("i_strongly_irresolvable" in flip)
+    if gen == full:
+        found = [] if isi else [("set_family", (("ideal", "maximal"),),
+                                 (("i_strongly_irresolvable", False),))]
+    else:
+        classical = all(sp.topo.is_open(a) for a in pio)
+        found = [] if isi == classical else [
+            ("set_family", (("ideal", "minimal"),),
+             (("i_strongly_irresolvable", isi), ("pio_inside_tau", classical)))]
+    return 1, found
+
+
+def reference_pair_report(n: int, check_id: str, hypothesis: str, max_witnesses: int = 25,
+                          drop=None, star=local_function_oracle, flip=()) -> Report:
+    """The report run_theorem_suite should give for one pair or family law,
+    l1 or isi_consistency: pair laws and l1 pair by pair, the others space
+    by space, from set_classes, subspace, pio_family and the oracles above.
+
+    Corruptions mirror a table of the sweep: drop maps a flag name to one
+    subset whose flag is forced false on every space (and subspace), star
+    replaces the local function, and flip lists space flags to negate."""
     visited = violations = 0
     witnesses = []
     spaces = all_set_flags(n)
@@ -372,29 +451,20 @@ def reference_pair_report(n: int, check_id: str, hypothesis: str,
         if not HYPOTHESIS_ORACLES[hypothesis](sp):
             continue
         space = (("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen))
-        found = []
-        if check_id in FAMILY_LAW_ORACLES:
-            visited += 1
+        if check_id == "l1":
+            count, found = _l1_violations(sp, star)
+        elif check_id == "isi_consistency":
+            count, found = _isi_violations(sp, flip)
+        elif check_id in FAMILY_LAW_ORACLES:
+            count, found = 1, []
             pio = pio_family(sp)
             expected = tuple(a for a in range(1 << n) if flags[a][FAMILY_LAW_ORACLES[check_id]])
             if pio != expected:
                 found.append(("set_family", (("expected", expected), ("pio_family", pio)),
                               (("families_equal", False),)))
         else:
-            first, second, op, conclusion = PAIR_LAW_ORACLES[check_id]
-
-            def has(atom, a):
-                return flags[a][atom] and (drop or {}).get(atom) != a
-
-            for a in range(1 << n):
-                for b in range(1 << n):
-                    if not (has(first, a) and has(second, b)):
-                        continue
-                    visited += 1
-                    if not has(conclusion, a | b if op == "union" else a & b):
-                        found.append(("set_pair", (("first", a), ("second", b)), tuple(sorted({
-                            f"{first}(first)": True, f"{second}(second)": True,
-                            f"{conclusion}({op})": False}.items()))))
+            count, found = _pair_law_violations(sp, flags, check_id, drop or {})
+        visited += count
         for kind, data, trace in found:
             violations += 1
             if len(witnesses) < max_witnesses:
@@ -402,6 +472,68 @@ def reference_pair_report(n: int, check_id: str, hypothesis: str,
                                          claim=None, data=space + data, trace=trace))
     return Report(
         bound=n, selection=(check_id,), scope_counts=(("spaces", len(spaces)),),
+        results=(CheckResult(check_id, "both", hypothesis, visited, violations,
+                             tuple(witnesses)),),
+        skipped=(), wall_time=0.0)
+
+
+# Reference sweep for the composition laws (first, second, conclusion):
+# first(f) and second(g) give conclusion(g . f) for every map f of a domain
+# space into a middle topology and every map g of it into a codomain
+# topology, the middle ideal being the minimal one.
+COMPOSITION_LAW_ORACLES = {
+    "tt5.i": ("pre_i_continuous", "continuous", "pre_i_continuous"),
+    "tt5.ii": ("pre_i_continuous", "continuous", "precontinuous"),
+}
+
+
+def reference_composition_report(n: int, check_id: str, hypothesis: str,
+                                 max_witnesses: int = 25, law=None) -> Report:
+    """The report run_theorem_suite should give for one composition law,
+    pair by pair through map_classes; law replaces the check's atoms."""
+    first, second, conclusion = law or COMPOSITION_LAW_ORACLES[check_id]
+    topos = all_topologies_bruteforce(n)
+    tables = list(itertools.product(range(n), repeat=n))
+    seconds = {}   # (middle, codomain, table) -> second(g); no domain space reads it
+    for mid in topos:
+        mid_space = IdealSpace(mid, principal_ideal(n, 0))
+        for cod in topos:
+            for tab in tables:
+                g = SpaceMap(mid_space, cod, tab)
+                seconds[mid.opens, cod.opens, tab] = (g, getattr(map_classes(g), second))
+    trace = (("composition_conclusion", False), (f"first_{first}", True),
+             (f"second_{second}", True))
+    spaces = all_spaces_bruteforce(n)
+    visited = violations = 0
+    witnesses = []
+    for sp in spaces:
+        if not HYPOTHESIS_ORACLES[hypothesis](sp):
+            continue
+        for mid in topos:
+            for f_tab in tables:
+                f = SpaceMap(sp, mid, f_tab)
+                if not getattr(map_classes(f), first):
+                    continue
+                for cod in topos:
+                    for g_tab in tables:
+                        g, admitted = seconds[mid.opens, cod.opens, g_tab]
+                        if not admitted:
+                            continue
+                        visited += 1
+                        if getattr(map_classes(compose(f, g)), conclusion):
+                            continue
+                        violations += 1
+                        if len(witnesses) < max_witnesses:
+                            witnesses.append(Witness(
+                                n=n, kind="map_pair", check_id=check_id, direction=None,
+                                claim=None,
+                                data=(("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen),
+                                      ("mid_topology", mid.opens), ("map_first", f_tab),
+                                      ("cod_topology", cod.opens), ("map_second", g_tab)),
+                                trace=trace))
+    return Report(
+        bound=n, selection=(check_id,),
+        scope_counts=(("map_pairs_checked", visited), ("spaces", len(spaces))),
         results=(CheckResult(check_id, "both", hypothesis, visited, violations,
                              tuple(witnesses)),),
         skipped=(), wall_time=0.0)
