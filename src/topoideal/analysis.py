@@ -3,9 +3,10 @@
 TopologyAnalysis holds the ideal-free tables (shared by every ideal on the
 same topology), SpaceAnalysis the ideal-dependent ones.  Most tables are
 packed families: an int whose bit m is set iff subset m has the property
-(the `*_bits` tables).  Lists indexed by subset mask (`*_t`) are kept only
-where l1 or the composition search indexes them.  Everything is lazy, so a
-sweep only pays for the predicates its selected checks consult.
+(the `*_bits` tables).  Lists indexed by subset mask (`*_t`) hold the
+operators (interior, closure, local function) the families are built from;
+only l1 reads one, star_t, directly.  Everything is lazy, so a sweep only
+pays for the predicates its selected checks consult.
 
 SET_ATOMS maps every set atom of the claim grammar to its packed family and
 MAP_ATOMS every map atom to the domain family its preimages are tested
@@ -216,10 +217,6 @@ class SpaceAnalysis:
     @lazy_table
     def perfect_bits(self) -> int:
         return self.star_families[3]
-
-    @lazy_table
-    def pio_t(self) -> list[bool]:
-        return [self.pio_bits >> m & 1 == 1 for m in range(self.size)]
 
     @lazy_table
     def pio_family(self) -> tuple[int, ...]:

@@ -25,16 +25,16 @@ full = 1 that is plain evaluation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Callable, Mapping
 
-from .core import TopoidealError
+from .core import SpaceProps, TopoidealError
 from .classes import CLASS_FLAGS
 from .maps import MAP_FLAGS
 
-SPACE_FLAGS = ("hayashi_samuels", "submaximal", "i_strongly_irresolvable")
+SPACE_FLAGS = tuple(f.name for f in fields(SpaceProps))
 
 # tt4: preimages of opens pre-I-open; every point has a pre-I-open set inside
 # the preimage; Cl*(preimage) is a neighborhood of its points; preimages of

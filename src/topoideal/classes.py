@@ -21,29 +21,6 @@ from .core import (
     star_min_nbhd,
 )
 
-CLASS_FLAGS = (
-    "open",
-    "closed",
-    "dense",
-    "preopen",
-    "semi_open",
-    "alpha_open",
-    "beta_open",
-    "regular_closed",
-    "locally_closed",
-    "a_set",
-    "i_open",
-    "i_closed",
-    "pre_i_open",
-    "pre_i_closed",
-    "star_dense_in_itself",
-    "star_perfect",
-    "tau_star_open",
-    "tau_star_closed",
-    "i_locally_closed",
-)
-
-
 @dataclass(frozen=True)
 class ClassVector:
     open: bool
@@ -68,6 +45,9 @@ class ClassVector:
 
     def as_dict(self) -> dict[str, bool]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+CLASS_FLAGS = tuple(f.name for f in fields(ClassVector))
 
 
 def is_preopen(topo: FiniteTopology, a: int) -> bool:

@@ -187,44 +187,66 @@ def _build_ideal(n: int, kind: str, sets: list[int], line: int) -> Ideal:
         raise _positioned(NotAnIdeal, str(err), line, 1) from None
 
 
-def parse_space_file(text: str) -> NamedSpace:
-    names = None
-    opens: list[int] = []
-    ideal_spec = None
-    first_open_line = points_line = None
-    index: dict[str, int] = {}
-    for lineno, key, value, key_offset in _directives(text):
-        if key == "points":
-            if names is not None:
-                raise SpaceFileError("duplicate 'points:' line", lineno, 1)
-            names = _parse_points(value, lineno, key_offset)
-            points_line = lineno
-            index = {name: i for i, name in enumerate(names)}
-        elif key == "open":
-            if names is None:
-                raise SpaceFileError("'open:' before 'points:'", lineno, 1)
-            if first_open_line is None:
-                first_open_line = lineno
-            opens.extend(_parse_set_list(value, index, lineno, key_offset))
-        elif key in ("ideal", "ideal-family"):
-            if names is None:
-                raise SpaceFileError(f"'{key}:' before 'points:'", lineno, 1)
-            if ideal_spec is not None:
-                raise SpaceFileError("ideal given twice", lineno, 1)
-            kind = "generator" if key == "ideal" else "family"
-            ideal_spec = (kind, _parse_set_list(value, index, lineno, key_offset), lineno)
+class _SpaceSection:
+    """The points, open and ideal directives of one space, each key behind
+    a prefix: a space file reads them bare, a map file's codomain as
+    'to-points:', 'to-open:' and 'to-ideal:'."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.names: tuple[str, ...] | None = None
+        self.index: dict[str, int] = {}
+        self.opens: list[int] = []
+        self.ideal_spec = None
+        self.points_line = self.open_line = None
+
+    def read(self, lineno: int, key: str, value: str, key_offset: int) -> bool:
+        """Take one directive if it is this section's; False if it is not."""
+        p = self.prefix
+        if key not in (p + "points", p + "open", p + "ideal", p + "ideal-family"):
+            return False
+        if key == p + "points":
+            if self.names is not None:
+                raise SpaceFileError(f"duplicate '{key}:' line", lineno, 1)
+            self.names = _parse_points(value, lineno, key_offset)
+            self.points_line = lineno
+            self.index = {name: i for i, name in enumerate(self.names)}
+        elif self.names is None:
+            raise SpaceFileError(f"'{key}:' before '{p}points:'", lineno, 1)
+        elif key == p + "open":
+            self.open_line = self.open_line or lineno
+            self.opens.extend(_parse_set_list(value, self.index, lineno, key_offset))
+        elif self.ideal_spec is not None:
+            raise SpaceFileError("ideal given twice", lineno, 1)
         else:
+            kind = "generator" if key == p + "ideal" else "family"
+            self.ideal_spec = (kind, _parse_set_list(value, self.index, lineno, key_offset),
+                               lineno)
+        return True
+
+    def check(self, ideal_required: bool) -> None:
+        """Raise for the first directive the section is missing."""
+        p = self.prefix
+        if self.names is None:
+            raise SpaceFileError(f"missing '{p}points:' line")
+        if self.open_line is None:
+            raise SpaceFileError(f"missing '{p}open:' line", self.points_line)
+        if ideal_required and self.ideal_spec is None:
+            raise SpaceFileError("missing 'ideal:' or 'ideal-family:' line", self.open_line)
+
+    def build(self) -> tuple[FiniteTopology, Ideal | None]:
+        n = len(self.names)
+        topo = _build_topology(n, self.opens, self.open_line)
+        return topo, None if self.ideal_spec is None else _build_ideal(n, *self.ideal_spec)
+
+
+def parse_space_file(text: str) -> NamedSpace:
+    section = _SpaceSection("")
+    for lineno, key, value, key_offset in _directives(text):
+        if not section.read(lineno, key, value, key_offset):
             raise SpaceFileError(f"unknown directive {key!r}", lineno, 1)
-    if names is None:
-        raise SpaceFileError("missing 'points:' line")
-    if first_open_line is None:
-        raise SpaceFileError("missing 'open:' line", points_line)
-    if ideal_spec is None:
-        raise SpaceFileError("missing 'ideal:' or 'ideal-family:' line", first_open_line)
-    n = len(names)
-    topo = _build_topology(n, opens, first_open_line)
-    ideal = _build_ideal(n, ideal_spec[0], ideal_spec[1], ideal_spec[2])
-    return NamedSpace(IdealSpace(topo, ideal), names)
+    section.check(ideal_required=True)
+    return NamedSpace(IdealSpace(*section.build()), section.names)
 
 
 def serialize_space(named: NamedSpace) -> str:
@@ -241,30 +263,12 @@ _ARROW = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_]*)\s*->\s*([A-Za-z][A-Za-z0-9_]*)
 
 
 def parse_map_file(text: str, dom: NamedSpace) -> NamedMap:
-    cod_names = None
-    cod_opens: list[int] = []
-    cod_ideal_spec = None
-    first_open_line = None
+    cod_section = _SpaceSection("to-")
     entries: dict[str, tuple[str, int, int]] = {}
-    cod_index: dict[str, int] = {}
     for lineno, key, value, key_offset in _directives(text):
-        if key == "to-points":
-            if cod_names is not None:
-                raise SpaceFileError("duplicate 'to-points:' line", lineno, 1)
-            cod_names = _parse_points(value, lineno, key_offset)
-            cod_index = {name: i for i, name in enumerate(cod_names)}
-        elif key == "to-open":
-            if cod_names is None:
-                raise SpaceFileError("'to-open:' before 'to-points:'", lineno, 1)
-            if first_open_line is None:
-                first_open_line = lineno
-            cod_opens.extend(_parse_set_list(value, cod_index, lineno, key_offset))
-        elif key in ("to-ideal", "to-ideal-family"):
-            if cod_names is None:
-                raise SpaceFileError(f"'{key}:' before 'to-points:'", lineno, 1)
-            kind = "generator" if key == "to-ideal" else "family"
-            cod_ideal_spec = (kind, _parse_set_list(value, cod_index, lineno, key_offset), lineno)
-        elif key == "map":
+        if cod_section.read(lineno, key, value, key_offset):
+            continue
+        if key == "map":
             pos = 0
             for token in value.split(";"):
                 if token.strip():
@@ -280,17 +284,11 @@ def parse_map_file(text: str, dom: NamedSpace) -> NamedMap:
                 pos += len(token) + 1
         else:
             raise SpaceFileError(f"unknown directive {key!r}", lineno, 1)
-    if cod_names is None:
-        raise SpaceFileError("missing 'to-points:' line")
-    if first_open_line is None:
-        raise SpaceFileError("missing 'to-open:' line")
+    cod_section.check(ideal_required=False)
     if not entries:
         raise SpaceFileError("missing 'map:' line")
-    cod = _build_topology(len(cod_names), cod_opens, first_open_line)
-    cod_ideal = None
-    if cod_ideal_spec is not None:
-        cod_ideal = _build_ideal(len(cod_names), cod_ideal_spec[0],
-                                 cod_ideal_spec[1], cod_ideal_spec[2])
+    cod, cod_ideal = cod_section.build()
+    cod_names, cod_index = cod_section.names, cod_section.index
     table = []
     for name in dom.names:
         if name not in entries:

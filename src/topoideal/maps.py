@@ -8,7 +8,7 @@ open against the matching set class of the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 from .core import (
     FiniteTopology,
@@ -32,21 +32,6 @@ from .classes import (
     pio_family,
     star_perfect_family,
 )
-
-MAP_FLAGS = (
-    "continuous",
-    "precontinuous",
-    "pre_i_continuous",
-    "i_continuous",
-    "star_i_continuous",
-    "lc_continuous",
-    "i_lc_continuous",
-    "a_continuous",
-    "beta_continuous",
-    "i_open_map",
-    "i_closed_map",
-)
-
 
 class CarrierMismatch(TopoidealError):
     pass
@@ -82,6 +67,9 @@ class MapClassVector:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+MAP_FLAGS = tuple(f.name for f in fields(MapClassVector))
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """The four conditions equivalent to pre-I-continuity, evaluated independently."""
@@ -93,12 +81,7 @@ class EquivalenceReport:
 
     @property
     def bits(self) -> tuple[bool, bool, bool, bool]:
-        return (
-            self.preimages_pre_i_open,
-            self.pointwise_pio_witness,
-            self.cl_star_neighborhood,
-            self.closed_preimages_pre_i_closed,
-        )
+        return astuple(self)
 
     @property
     def agree(self) -> bool:

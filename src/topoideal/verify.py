@@ -15,7 +15,8 @@ values; replay evaluates the same text on the definitional flags.  Every
 other check is one declaration that carries its own sweep over the packed
 tables of a space and its own replay: the lemmas over subset pairs are
 pair laws, the family equalities family laws, tt5 a composition law, and
-l1 and isi_consistency a declaration each.
+l1 and isi_consistency a declaration each.  The composition search is one
+more composition law, run until its first witness.
 
 A sweep visits every domain space of a carrier size once, in canonical
 order, and runs every selected check on it, so reports and first
@@ -35,7 +36,6 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, itemgetter
-from types import SimpleNamespace
 
 from . import claims as _claims
 from .analysis import MAP_ATOMS, SET_ATOMS, SpaceAnalysis, TopologyAnalysis, family_bits
@@ -260,13 +260,16 @@ class _IrresolvableLaw(_Declaration):
 class _CompositionLaw(_Declaration):
     """first(f) & second(g) => conclusion(g . f) for every map f of a domain
     space into a middle topology and every map g of that topology into a
-    codomain topology.  The middle ideal is not quantified: second is read
-    on the middle topology alone, so it must be an atom that does not read
-    the ideal, and replay reads it under the minimal ideal."""
+    codomain topology.  With middle_ideal set, g is read on every middle
+    space (topology and ideal) and a witness names the middle ideal;
+    without it the middle ideal is not quantified, so second must be an
+    atom that does not read the ideal, and replay reads it under the
+    minimal ideal."""
 
     first: str
     second: str
     conclusion: str
+    middle_ideal: bool = False
 
     kind = "map_pair"
     reads = "maps"
@@ -281,25 +284,39 @@ class _CompositionLaw(_Declaration):
         """A first hop fails iff the bits its second hops reach meet the
         conclusion's complement; only failing hops walk their pairs."""
         n, topos, tabs = values.sa.n, values.packing.topos, values.packing.tabs
-        packed, comp, _ = _second_hops(n, self.second)
+        second, middle_ideal, stride = self.second, self.middle_ideal, len(tabs)
+        packed, comp, _ = _second_hops(n, second, middle_ideal)
         missed = ~values[self.conclusion]
-        visited = 0
-        for first in bits(values[self.first]):
-            si, fi = divmod(first, len(tabs))
-            visited += packed[si].bit_count()
-            if _reach(n, self.second, first) & missed:
-                for second in bits(packed[si]):
-                    ui, gi = divmod(second, len(tabs))
-                    if missed >> (ui * len(tabs) + comp[fi][gi]) & 1:
-                        found.append(((("mid_topology", topos[si].opens), ("map_first", tabs[fi]),
-                                       ("cod_topology", topos[ui].opens),
-                                       ("map_second", tabs[gi])), self.trace()))
+        firsts = values[self.first]
+        if middle_ideal:
+            # hop (si, fi) into every middle space: bits (si << n | gen, fi)
+            block = (1 << stride) - 1
+            copies = sum(1 << (gen * stride) for gen in range(1 << n))
+            firsts = sum((firsts >> si * stride & block) * copies << (si << n) * stride
+                         for si in range(len(topos)))
+        visited, trace = 0, self.trace()
+        for first in bits(firsts):
+            mi, fi = divmod(first, stride)
+            visited += packed[mi].bit_count()
+            if _reach(n, second, middle_ideal, first) & missed:
+                si, gen = divmod(mi, 1 << n) if middle_ideal else (mi, 0)
+                mid = (("mid_topology", topos[si].opens), ("mid_ideal_gen", gen))[:1 + middle_ideal]
+                for hop in bits(packed[mi]):
+                    ui, gi = divmod(hop, stride)
+                    if missed >> (ui * stride + comp[fi][gi]) & 1:
+                        found.append((mid + (("map_first", tabs[fi]),
+                                             ("cod_topology", topos[ui].opens),
+                                             ("map_second", tabs[gi])), trace))
         return visited
 
     def replay(self, sp: IdealSpace, data: dict):
-        f, g, h = _rebuild_pair(sp, data, 0)
+        mid = make_topology(sp.n, data["mid_topology"])
+        gen = data["mid_ideal_gen"] if self.middle_ideal else 0
+        f = SpaceMap(sp, mid, tuple(data["map_first"]))
+        g = SpaceMap(IdealSpace(mid, principal_ideal(sp.n, gen)),
+                     make_topology(sp.n, data["cod_topology"]), tuple(data["map_second"]))
         held = (getattr(map_classes(f), self.first) and getattr(map_classes(g), self.second)
-                and not getattr(map_classes(h), self.conclusion))
+                and not getattr(map_classes(compose(f, g)), self.conclusion))
         return self.trace() if held else None
 
 
@@ -652,17 +669,22 @@ def _packing(scope: str, n: int) -> _SetPacking | _MapPacking:
 # --- second hops of the composition laws ------------------------------------
 
 @lru_cache(maxsize=None)
-def _second_hops(n: int, second: str) -> tuple[list[int], list[list[int]], int]:
+def _second_hops(n: int, second: str,
+                 middle_ideal: bool) -> tuple[list[int], list[list[int]], int]:
     """The second hops of a composition law on n points, in _MapPacking's
-    (codomain, map) layout: per middle topology, the bits of the maps out of
-    it that satisfy the second atom; comp[fi][gi], the index of map gi after
-    map fi; and the bit (ui, 0) of every codomain ui."""
+    (codomain, map) layout: per middle space si << n | gen (per middle
+    topology si without middle_ideal), the bits of the maps out of it that
+    satisfy the second atom; comp[fi][gi], the index of map gi after map
+    fi; and the bit (ui, 0) of every codomain ui."""
     packing = _packing("maps", n)
     tab_index = {t: i for i, t in enumerate(packing.tabs)}
-    # read on the tables of the middle topology alone: an atom that reads
-    # the middle ideal, which is not quantified, fails here
-    packed = [packing.family(SimpleNamespace(ta=TopologyAnalysis(t)), second)
-              for t in packing.topos]
+    packed = [packing.family(sa, second) for sa in _spaces(n)]
+    if not middle_ideal:
+        minimal = packed[::1 << n]
+        if any(hops != minimal[i >> n] for i, hops in enumerate(packed)):
+            raise TopoidealError(f"second atom {second!r} depends on the middle ideal, "
+                                 "which this law does not quantify")
+        packed = minimal
     comp = [[tab_index[tuple(g[y] for y in f)] for g in packing.tabs] for f in packing.tabs]
     return packed, comp, sum(1 << (ui * len(packing.tabs)) for ui in range(len(packing.topos)))
 
@@ -670,14 +692,15 @@ def _second_hops(n: int, second: str) -> tuple[list[int], list[list[int]], int]:
 # on 3 points every first hop of both tt5 legs fits; on 4 points an entry is
 # an 11 kB int, and all 90,880 first hops would take about 1 GB
 @lru_cache(maxsize=4096)
-def _reach(n: int, second: str, first: int) -> int:
+def _reach(n: int, second: str, middle_ideal: bool, first: int) -> int:
     """The (codomain, composed map) bits the second hops reach after first
-    hop (si, fi): the codomains each map gi admits, moved onto g . f."""
-    packed, comp, column = _second_hops(n, second)
-    si, fi = divmod(first, len(comp))
+    hop (mi, fi), mi indexing _second_hops: the codomains each map gi
+    admits, moved onto g . f."""
+    packed, comp, column = _second_hops(n, second, middle_ideal)
+    mi, fi = divmod(first, len(comp))
     out = 0
     for gi, hi in enumerate(comp[fi]):
-        out |= (packed[si] >> gi & column) << hi
+        out |= (packed[mi] >> gi & column) << hi
     return out
 
 
@@ -913,6 +936,8 @@ def check_direction(check_id: str, direction: str, hypothesis: str | None = None
     """Run one direction of a biconditional under a caller-chosen hypothesis."""
     if check_id not in REGISTRY:
         raise UnknownTheoremId(check_id)
+    if direction in _DIRECTIONS and not REGISTRY[check_id].directional:
+        raise NotDirectional(f"check {check_id} has no directions")
     return run_theorem_suite(bound, [check_id], direction=direction,
                              hypothesis=hypothesis, **kw)
 
@@ -955,50 +980,27 @@ def find_counterexample(claim, scope: str, bound: int) -> Witness | None:
     return None
 
 
+_COMPOSITION_SEARCH = _CompositionLaw("pre_i_continuous", "pre_i_continuous",
+                                     "pre_i_continuous", middle_ideal=True)
+
+
 def find_composition_counterexample(bound: int = 3) -> Witness | None:
     """First pair of pre-I-continuous maps whose composition is not
     pre-I-continuous, searching carriers 1..bound; both hops and the middle
     ideal are quantified."""
     _check_search_bound(bound)
     for n in range(1, bound + 1):
-        topos = topologies(n)
-        tabs = maps(n, n)
-        preims = _preimage_tables(n)
-        # every space is a domain and a middle space: the middle space on
-        # topology si with ideal generator g is spaces[si << n | g]
-        spaces = list(_spaces(n))
-        for sa in spaces:
-            pio_t = sa.pio_t
-            for si, mid in enumerate(topos):
-                mid_opens = mid.opens
-                for fi, ptf in enumerate(preims):
-                    if not all(pio_t[ptf[v]] for v in mid_opens):
-                        continue
-                    for mid_gen in range(1 << n):
-                        pio_mid = spaces[si << n | mid_gen].pio_t
-                        for ui, cod in enumerate(topos):
-                            cod_opens = cod.opens
-                            for gi in range(len(tabs)):
-                                ptg = preims[gi]
-                                if not all(pio_mid[ptg[w]] for w in cod_opens):
-                                    continue
-                                if not all(pio_t[ptf[ptg[w]]] for w in cod_opens):
-                                    return Witness(
-                                        n=n, kind="map_pair", check_id=None,
-                                        direction=None,
-                                        claim="pre_i_continuous(f) & "
-                                              "pre_i_continuous(g) & "
-                                              "!pre_i_continuous(g . f)",
-                                        data=_space_data(sa.sp) + (
-                                            ("mid_topology", mid.opens),
-                                            ("mid_ideal_gen", mid_gen),
-                                            ("map_first", tabs[fi]),
-                                            ("cod_topology", cod.opens),
-                                            ("map_second", tabs[gi])),
-                                        trace=(("first_pre_i_continuous", True),
-                                               ("second_pre_i_continuous", True),
-                                               ("composition_pre_i_continuous", False)),
-                                    )
+        packing = _packing("maps", n)
+        for sa in _spaces(n):
+            found: list[tuple] = []
+            _COMPOSITION_SEARCH.run(packing.values(sa), found)
+            if found:
+                return Witness(
+                    n=n, kind="map_pair", check_id=None, direction=None,
+                    claim="pre_i_continuous(f) & pre_i_continuous(g) & !pre_i_continuous(g . f)",
+                    data=_space_data(sa.sp) + found[0][0],
+                    trace=(("first_pre_i_continuous", True), ("second_pre_i_continuous", True),
+                           ("composition_pre_i_continuous", False)))
     return None
 
 
@@ -1007,16 +1009,6 @@ def find_composition_counterexample(bound: int = 3) -> Witness | None:
 def _rebuild_space(data: dict, n: int) -> IdealSpace:
     topo = make_topology(n, data["topology"])
     return IdealSpace(topo, principal_ideal(n, data["ideal_gen"]))
-
-
-def _rebuild_pair(sp: IdealSpace, data: dict,
-                  mid_gen: int) -> tuple[SpaceMap, SpaceMap, SpaceMap]:
-    """Both hops of a map-pair witness on domain space sp, and their composition."""
-    mid = make_topology(sp.n, data["mid_topology"])
-    f = SpaceMap(sp, mid, tuple(data["map_first"]))
-    g = SpaceMap(IdealSpace(mid, principal_ideal(sp.n, mid_gen)),
-                 make_topology(sp.n, data["cod_topology"]), tuple(data["map_second"]))
-    return f, g, compose(f, g)
 
 
 def _definitional_values(kind: str, data: dict, n: int) -> dict[str, bool]:
@@ -1040,10 +1032,7 @@ def replay_witness(w: Witness) -> bool:
     data = w.data_dict()
     if w.check_id is None:
         if w.kind == "map_pair":   # from the composition search
-            f, g, h = _rebuild_pair(_rebuild_space(data, w.n), data, data["mid_ideal_gen"])
-            return (map_classes(f).pre_i_continuous
-                    and map_classes(g).pre_i_continuous
-                    and not map_classes(h).pre_i_continuous)
+            return _COMPOSITION_SEARCH.replay(_rebuild_space(data, w.n), data) is not None
         text, wanted = w.claim, True
     else:
         text, wanted = _law_for(REGISTRY[w.check_id], w.direction), False

@@ -5,7 +5,9 @@ conclusion atom).  The sweep reads the first and the conclusion off the
 packed map atoms of the domain space, and the second hops off a table of
 the (codomain, composed map) bits each first hop reaches; the reference
 goes pair by pair through map_classes.  A false declaration must make each
-leg report the reference's witnesses, which replay.
+leg report the reference's witnesses, which replay.  The composition
+search runs one more composition law, which also quantifies the middle
+ideal, and returns its first witness.
 """
 
 import dataclasses
@@ -13,8 +15,14 @@ import dataclasses
 import pytest
 
 import topoideal.verify as verify
-from topoideal.verify import REGISTRY, replay_witness, run_theorem_suite
-from util import COMPOSITION_LAW_ORACLES, reference_composition_report
+from topoideal.core import TopoidealError
+from topoideal.verify import (
+    REGISTRY,
+    find_composition_counterexample,
+    replay_witness,
+    run_theorem_suite,
+)
+from util import COMPOSITION_LAW_ORACLES, composition_pairs, reference_composition_report
 
 EVERY_WITNESS = 10 ** 6
 
@@ -75,5 +83,59 @@ def test_replay_rejects_doctored_composition_witnesses(monkeypatch):
 def test_second_atom_must_not_read_the_middle_ideal(monkeypatch):
     law = verify._CompositionLaw("pre_i_continuous", "pre_i_continuous", "pre_i_continuous")
     monkeypatch.setitem(REGISTRY, "tt5.i", dataclasses.replace(REGISTRY["tt5.i"], laws=(law,)))
-    with pytest.raises(AttributeError):
+    with pytest.raises(TopoidealError, match="middle ideal"):
         run_theorem_suite(2, ["tt5.i"])
+
+
+# the composition search's law: the second hop is pre-I-continuous out of
+# the middle space, so the middle ideal is quantified too
+SEARCH_LAW = ("pre_i_continuous",) * 3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_search_law_matches_reference_sweep(n, monkeypatch):
+    monkeypatch.setitem(REGISTRY, "tt5.i", dataclasses.replace(
+        REGISTRY["tt5.i"], laws=(verify._COMPOSITION_SEARCH,)))
+    got = run_theorem_suite(n, ["tt5.i"], max_witnesses=EVERY_WITNESS)
+    want = reference_composition_report(n, "tt5.i", "none", max_witnesses=EVERY_WITNESS,
+                                        law=SEARCH_LAW, middle_ideal=True)
+    assert got.to_json() == want.to_json()
+    assert (got.results[0].violation_count > 0) == (n == 2)
+    assert all(replay_witness(w) for w in got.violations)
+
+
+def first_composition_witness(bound):
+    """n and data of the first pair the search law violates on 1..bound
+    points, through map_classes; None if there is none."""
+    for n in range(1, bound + 1):
+        for data, held in composition_pairs(n, SEARCH_LAW, middle_ideal=True):
+            if not held:
+                return n, data
+    return None
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_composition_search_finds_the_first_definitional_witness(bound):
+    w = find_composition_counterexample(bound)
+    want = first_composition_witness(bound)
+    if want is None:
+        assert w is None
+        return
+    assert (w.n, w.data) == want
+    assert w.kind == "map_pair" and w.check_id is None
+    assert w.claim == ("pre_i_continuous(f) & pre_i_continuous(g) & "
+                       "!pre_i_continuous(g . f)")
+    assert w.trace == (("first_pre_i_continuous", True), ("second_pre_i_continuous", True),
+                       ("composition_pre_i_continuous", False))
+    assert replay_witness(w)
+
+
+def test_search_replay_reads_the_middle_ideal():
+    w = find_composition_counterexample(2)
+    data = dict(w.data)
+    assert data["mid_topology"] == (0, 3) and data["mid_ideal_gen"] == 0
+    # under the maximal ideal on the indiscrete middle topology only the
+    # empty set and the carrier are pre-I-open, so the second hop, a
+    # bijection onto the discrete topology, is not pre-I-continuous
+    data["mid_ideal_gen"] = 3
+    assert not replay_witness(dataclasses.replace(w, data=tuple(data.items())))

@@ -8,13 +8,16 @@ witnesses.  The guards that replaced internal asserts and the bounds on
 user-chosen work are tested here too.
 """
 
+import ast
 import multiprocessing
 import os
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import topoideal
 import topoideal.analysis as analysis
 import topoideal.core as core
 from topoideal.analysis import SET_ATOMS, SpaceAnalysis, TopologyAnalysis, lazy_table
@@ -186,6 +189,18 @@ def test_nowhere_dense_guard(monkeypatch):
                         lambda topo, m: topo.full if m == topo.full else 0)
     with pytest.raises(NotNowhereDense):
         nowhere_dense_ideal(discrete(2))
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so an invariant guarded by one
+    # would go unchecked; the package raises typed errors instead
+    package = Path(topoideal.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == [], f"{path.name}: assert statements at lines {found}"
 
 
 # --- bounds on user-chosen work -------------------------------------------------

@@ -153,6 +153,26 @@ def test_map_file_errors():
                        "map: a->a; a->b; b->b; c->c; d->d\n", dom)
 
 
+def test_map_file_codomain_ideal_given_twice():
+    # as in a space file, a second ideal line is an error, not an override
+    dom = parse_space_file(S1_TEXT)
+    for second in ("to-ideal: {d}", "to-ideal-family: {}; {d}"):
+        with pytest.raises(SpaceFileError, match="ideal given twice") as err:
+            parse_map_file(SIGMA4_MAP + "to-ideal: {c}\n" + second + "\n", dom)
+        assert err.value.line == 5
+
+
+def test_map_file_missing_codomain_open_names_the_points_line():
+    dom = parse_space_file(S1_TEXT)
+    with pytest.raises(SpaceFileError, match="missing 'to-open:' line") as err:
+        parse_map_file("# codomain\n\nto-points: a b c d\nmap: a->a; b->b; c->c; d->d\n", dom)
+    assert err.value.line == 3
+    # the space file reports its own missing open line the same way
+    with pytest.raises(SpaceFileError, match="missing 'open:' line") as err:
+        parse_space_file("# space\n\npoints: a b\nideal: {}\n")
+    assert err.value.line == 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(spaces(max_n=4))
 def test_space_serialization_round_trip_random(sp):

@@ -157,6 +157,15 @@ def test_selection_groups_and_errors():
         resolve_selection("t1.fwd")
 
 
+def test_check_direction_refuses_a_check_without_directions():
+    # as the token "t1.fwd" does: a one-way check has no direction to run
+    for cid in ("t1", "tt5.i"):
+        for direction in ("fwd", "bwd"):
+            with pytest.raises(NotDirectional):
+                check_direction(cid, direction, bound=2)
+    assert check_direction("t1", "both", bound=2).results[0].direction == "both"
+
+
 def test_explicit_selection_beyond_default_bound_errors():
     with pytest.raises(CarrierTooLargeForSuite):
         run_theorem_suite(4, ["tt1"])
@@ -196,7 +205,7 @@ def test_pio_union_closure_all_subfamilies_oracle(n):
                 if picks >> i & 1:
                     union |= fam[i]
                     inter &= sp.topo.full ^ fam[i]
-            assert sa.pio_t[union]
+            assert SET_ATOMS["pre_i_open"](sa) >> union & 1
             # de Morgan: complements of pre-I-open sets are the pre-I-closed
             # ones, so `inter` is an arbitrary intersection of those
             assert picks == 0 or piclosed >> inter & 1

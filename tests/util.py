@@ -480,60 +480,78 @@ def reference_pair_report(n: int, check_id: str, hypothesis: str, max_witnesses:
 # Reference sweep for the composition laws (first, second, conclusion):
 # first(f) and second(g) give conclusion(g . f) for every map f of a domain
 # space into a middle topology and every map g of it into a codomain
-# topology, the middle ideal being the minimal one.
+# topology, the middle ideal being the minimal one, or with middle_ideal
+# every ideal on the middle topology.
 COMPOSITION_LAW_ORACLES = {
     "tt5.i": ("pre_i_continuous", "continuous", "pre_i_continuous"),
     "tt5.ii": ("pre_i_continuous", "continuous", "precontinuous"),
 }
 
 
-def reference_composition_report(n: int, check_id: str, hypothesis: str,
-                                 max_witnesses: int = 25, law=None) -> Report:
-    """The report run_theorem_suite should give for one composition law,
-    pair by pair through map_classes; law replaces the check's atoms."""
-    first, second, conclusion = law or COMPOSITION_LAW_ORACLES[check_id]
+def composition_pairs(n: int, law, hypothesis: str = "none", middle_ideal: bool = False):
+    """Every pair a composition law visits on n points, in the sweep's
+    order (domain space, middle topology, middle ideal, first map,
+    codomain, second map), pair by pair through map_classes: its witness
+    data and whether g . f has the conclusion.  Lazy, so a search can stop
+    at its first violation."""
+    first, second, conclusion = law
     topos = all_topologies_bruteforce(n)
     tables = list(itertools.product(range(n), repeat=n))
-    seconds = {}   # (middle, codomain, table) -> second(g); no domain space reads it
-    for mid in topos:
-        mid_space = IdealSpace(mid, principal_ideal(n, 0))
-        for cod in topos:
-            for tab in tables:
-                g = SpaceMap(mid_space, cod, tab)
-                seconds[mid.opens, cod.opens, tab] = (g, getattr(map_classes(g), second))
-    trace = (("composition_conclusion", False), (f"first_{first}", True),
-             (f"second_{second}", True))
-    spaces = all_spaces_bruteforce(n)
-    visited = violations = 0
-    witnesses = []
-    for sp in spaces:
+    gens = range(1 << n) if middle_ideal else (0,)
+    seconds = {}   # (middle, ideal, codomain, table) -> g, second(g); no domain space reads it
+
+    def second_hop(mid, gen, cod, tab):
+        key = mid.opens, gen, cod.opens, tab
+        if key not in seconds:
+            g = SpaceMap(IdealSpace(mid, principal_ideal(n, gen)), cod, tab)
+            seconds[key] = g, getattr(map_classes(g), second)
+        return seconds[key]
+
+    for sp in all_spaces_bruteforce(n):
         if not HYPOTHESIS_ORACLES[hypothesis](sp):
             continue
         for mid in topos:
-            for f_tab in tables:
-                f = SpaceMap(sp, mid, f_tab)
-                if not getattr(map_classes(f), first):
-                    continue
-                for cod in topos:
-                    for g_tab in tables:
-                        g, admitted = seconds[mid.opens, cod.opens, g_tab]
-                        if not admitted:
-                            continue
-                        visited += 1
-                        if getattr(map_classes(compose(f, g)), conclusion):
-                            continue
-                        violations += 1
-                        if len(witnesses) < max_witnesses:
-                            witnesses.append(Witness(
-                                n=n, kind="map_pair", check_id=check_id, direction=None,
-                                claim=None,
-                                data=(("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen),
-                                      ("mid_topology", mid.opens), ("map_first", f_tab),
-                                      ("cod_topology", cod.opens), ("map_second", g_tab)),
-                                trace=trace))
+            for gen in gens:
+                mid_data = (("mid_topology", mid.opens),) + (
+                    (("mid_ideal_gen", gen),) if middle_ideal else ())
+                for f_tab in tables:
+                    f = SpaceMap(sp, mid, f_tab)
+                    if not getattr(map_classes(f), first):
+                        continue
+                    for cod in topos:
+                        for g_tab in tables:
+                            g, admitted = second_hop(mid, gen, cod, g_tab)
+                            if admitted:
+                                yield ((("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen))
+                                       + mid_data + (("map_first", f_tab),
+                                                     ("cod_topology", cod.opens),
+                                                     ("map_second", g_tab)),
+                                       getattr(map_classes(compose(f, g)), conclusion))
+
+
+def reference_composition_report(n: int, check_id: str, hypothesis: str,
+                                 max_witnesses: int = 25, law=None,
+                                 middle_ideal: bool = False) -> Report:
+    """The report run_theorem_suite should give for one composition law,
+    pair by pair through map_classes; law replaces the check's atoms, and
+    middle_ideal quantifies the middle ideal as well."""
+    law = law or COMPOSITION_LAW_ORACLES[check_id]
+    trace = (("composition_conclusion", False), (f"first_{law[0]}", True),
+             (f"second_{law[1]}", True))
+    visited = violations = 0
+    witnesses = []
+    for data, held in composition_pairs(n, law, hypothesis, middle_ideal):
+        visited += 1
+        if held:
+            continue
+        violations += 1
+        if len(witnesses) < max_witnesses:
+            witnesses.append(Witness(n=n, kind="map_pair", check_id=check_id, direction=None,
+                                     claim=None, data=data, trace=trace))
     return Report(
         bound=n, selection=(check_id,),
-        scope_counts=(("map_pairs_checked", visited), ("spaces", len(spaces))),
+        scope_counts=(("map_pairs_checked", visited),
+                      ("spaces", len(all_spaces_bruteforce(n)))),
         results=(CheckResult(check_id, "both", hypothesis, visited, violations,
                              tuple(witnesses)),),
         skipped=(), wall_time=0.0)
