@@ -2,10 +2,11 @@
 """Run the whole theorem registry exhaustively and print the reports.
 
 Default scales: every set-level check over all labeled topologies and
-ideals on 4 points, every map-level check (including composition pairs)
-on 3 points.  Single-threaded this finishes in well under a minute for
-the set level and a few tens of seconds for the map level; --jobs
-partitions the sweeps across processes.
+ideals on 5 points (222,144 spaces), every map-level check (including
+composition pairs) on 3 points.  A passing check is proven on one space
+per relabeling orbit (2,902 on 5 points), so single-threaded the set level
+takes about 3 s and the map level about 0.1 s (2-vCPU host, Python 3.11);
+--jobs partitions the sweeps across processes.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from topoideal.verify import REGISTRY, run_theorem_suite
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--set-points", type=int, default=4)
+    parser.add_argument("--set-points", type=int, default=5)
     parser.add_argument("--map-points", type=int, default=3)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()

@@ -10,17 +10,20 @@ pays for the predicates its selected checks consult.
 
 SET_ATOMS maps every set atom of the claim grammar to its packed family and
 MAP_ATOMS every map atom to the domain family its preimages are tested
-against.  These tables are the fast route; topoideal.classes and
+against.  _SetPacking and _MapPacking give a sweep the atoms of one space
+packed over all its structures: its subsets, or every (codomain, map)
+pair out of it.  These tables are the fast route; topoideal.classes and
 topoideal.maps hold the definitional route, and the test suite pins the
 two against each other.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, lru_cache
+from operator import attrgetter, itemgetter
 from typing import Callable
 
+from . import claims as _claims
 from .core import (
     FiniteTopology,
     IdealSpace,
@@ -32,6 +35,7 @@ from .core import (
     star_min_nbhd,
     subspace,
 )
+from .enumeration import maps, topologies
 
 
 class lazy_table(cached_property):
@@ -233,7 +237,10 @@ class SpaceAnalysis:
         # Hayashi-Samuels space of a tt42 sweep
         opens = self.sp.topo.opens
         out = 0
-        for v in self.perfect_family:
+        # bits(), not perfect_family: a tuple cached on every space lands
+        # in CPython's tuple free lists when the space is freed, and peak
+        # RSS creeps from sweep to sweep
+        for v in bits(self.perfect_bits):
             for u in opens:
                 out |= 1 << (u & v)
         return out
@@ -323,3 +330,122 @@ MAP_ATOMS: dict[str, tuple[Callable[[SpaceAnalysis], int], str]] = {
     "cond3": (attrgetter("cl_star_nbhd_bits"), "opens"),
     "cond4": (SET_ATOMS["pre_i_closed"], "closed"),
 }
+
+
+# --- atoms packed over the structures of a space ------------------------------
+
+class _SetPacking:
+    """Set atoms of one space packed over its subsets: bit a is subset a.
+    Laws read them straight off the SpaceAnalysis, whose lazy tables build
+    each family on first use."""
+
+    kind = "set"
+    leaf = SET_ATOMS.__getitem__
+
+    def __init__(self, n: int):
+        self.structures = 1 << n
+        self.full = (1 << self.structures) - 1
+        self.subset_data = [(("subset", a),) for a in range(self.structures)]
+
+    def values(self, sa: SpaceAnalysis) -> SpaceAnalysis:
+        return sa
+
+    def data(self, bit: int) -> tuple[tuple[str, object], ...]:
+        return self.subset_data[bit]
+
+
+@lru_cache(maxsize=None)
+def _preimage_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """preimage mask of every codomain mask, for every point table on n points."""
+    return tuple(
+        tuple(sum(1 << x for x in range(n) if m >> tab[x] & 1) for m in range(1 << n))
+        for tab in maps(n, n))
+
+
+class _MapPacking:
+    """Map atoms of one domain space packed over (codomain, map) on n points:
+    bit ci * len(tabs) + mi is point table tabs[mi] into topology topos[ci],
+    so ascending bits follow the enumeration order.
+
+    A map atom holds iff every codomain set of its kind (opens, or closed
+    sets) pulls back into its domain family.  For one map the codomain
+    masks that pull back form a mask `good`, and the codomains it admits,
+    spread to their bit positions, are cached per `good`.
+    """
+
+    kind = "map"
+    leaf = itemgetter
+    # entries per kind: every mask on 3 points fits, so only n = 4, where an
+    # entry is an 11 kB int, ever clears the cache
+    SPREAD_CACHE_LIMIT = 256
+
+    def __init__(self, n: int):
+        self.topos = topologies(n)
+        self.tabs = maps(n, n)
+        self.preims = _preimage_tables(n)
+        self.structures = len(self.topos) * len(self.tabs)
+        self.full = (1 << self.structures) - 1
+        self.cod_families = {
+            "opens": [family_bits(t.opens) for t in self.topos],
+            "closed": [family_bits(t.closed_sets()) for t in self.topos],
+        }
+        self.spreads: dict[str, dict[int, int]] = {"opens": {}, "closed": {}}
+        self.families_ta, self.families = None, {}
+        self.cod_data = [("cod_topology", t.opens) for t in self.topos]
+        self.map_data = [("map", tab) for tab in self.tabs]
+
+    def values(self, sa: SpaceAnalysis) -> _MapValues:
+        return _MapValues(self, sa)
+
+    def family(self, sa: SpaceAnalysis, atom: str) -> int:
+        if atom in _claims.SPACE_FLAGS:
+            return self.full if SET_ATOMS[atom](sa) else 0
+        domain, kind = MAP_ATOMS[atom]
+        # a map family depends only on (kind, domain family), and the ideals
+        # of one topology share most domain families: keep one topology's
+        if sa.ta is not self.families_ta:
+            self.families_ta, self.families = sa.ta, {}
+        key = kind, domain(sa)
+        out = self.families.get(key)
+        if out is None:
+            out = self.families[key] = self._family(*key)
+        return out
+
+    def _family(self, kind: str, fam: int) -> int:
+        spread = self.spreads[kind]
+        out = 0
+        for mi, pt in enumerate(self.preims):
+            good = 0
+            for v, p in enumerate(pt):
+                if fam >> p & 1:
+                    good |= 1 << v
+            packed = spread.get(good)
+            if packed is None:
+                if len(spread) >= self.SPREAD_CACHE_LIMIT:
+                    spread.clear()
+                packed = spread[good] = self._spread(kind, good)
+            out |= packed << mi
+        return out
+
+    def _spread(self, kind: str, good: int) -> int:
+        stride = len(self.tabs)
+        out = 0
+        for ci, fam in enumerate(self.cod_families[kind]):
+            if fam & ~good == 0:
+                out |= 1 << (ci * stride)
+        return out
+
+    def data(self, bit: int) -> tuple[tuple[str, object], ...]:
+        ci, mi = divmod(bit, len(self.tabs))
+        return self.cod_data[ci], self.map_data[mi]
+
+
+class _MapValues(dict):
+    """Packed map atoms of one domain space, each built on first read."""
+
+    def __init__(self, packing: _MapPacking, sa: SpaceAnalysis):
+        self.packing, self.sa = packing, sa
+
+    def __missing__(self, atom: str) -> int:
+        value = self[atom] = self.packing.family(self.sa, atom)
+        return value

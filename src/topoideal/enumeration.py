@@ -4,7 +4,9 @@ Each function returns an immutable sequence in a canonical order, so the
 same (kind, n, index) always resolves to the same object and any index
 partition of a sweep can run in parallel.  Topologies are enumerated
 labeled (not up to homeomorphism): the theorem sweeps quantify over
-labeled structures.
+labeled structures.  _orbits groups the labeled ideal spaces into orbits
+of the point relabelings, so a sweep can prove a check on one space per
+orbit.
 
 Topologies come from one route: a generator of consistent
 minimal-neighborhood tables, i.e. preorders, each giving its Alexandrov
@@ -104,6 +106,47 @@ def topologies_by_preorder(n: int) -> tuple[FiniteTopology, ...]:
 def topologies(n: int) -> tuple[FiniteTopology, ...]:
     """Every labeled topology on n points exactly once, sorted by opens (cached)."""
     return topologies_by_preorder(n)
+
+
+@lru_cache(maxsize=None)
+def _orbits(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The ideal spaces on n points up to relabeling the points, in
+    enumeration order: per class of topologies, the index of its first
+    labeled member, and per orbit of ideal generators under that
+    topology's automorphisms, the orbit's first generator and its weight,
+    the number of labeled spaces the orbit stands for (class size times
+    generator orbit size).  Each class is found by applying all n!
+    relabelings to the min_nbhd rows of its first member."""
+    topos = topologies(n)
+    index = {topo.min_nbhd: i for i, topo in enumerate(topos)}
+    relabels = []   # (permutation, the image of every mask under it)
+    for perm in itertools.permutations(range(n)):
+        image = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            image[m] = image[m & (m - 1)] | 1 << perm[(m & -m).bit_length() - 1]
+        relabels.append((perm, image))
+    placed, out = set(), []
+    for i, topo in enumerate(topos):
+        if i in placed:
+            continue
+        members, automorphisms = set(), []
+        for perm, image in relabels:
+            rows = [0] * n
+            for x, row in enumerate(topo.min_nbhd):
+                rows[perm[x]] = image[row]
+            rows = tuple(rows)
+            members.add(index[rows])
+            if rows == topo.min_nbhd:
+                automorphisms.append(image)
+        placed |= members
+        gens, seen = [], set()
+        for gen in range(1 << n):
+            if gen not in seen:
+                orbit = {image[gen] for image in automorphisms}
+                seen |= orbit
+                gens.append((gen, len(members) * len(orbit)))
+        out.append((i, tuple(gens)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

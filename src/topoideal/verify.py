@@ -18,10 +18,14 @@ pair laws, the family equalities family laws, tt5 a composition law, and
 l1 and isi_consistency a declaration each.  The composition search is one
 more composition law, run until its first witness.
 
-A sweep visits every domain space of a carrier size once, in canonical
-order, and runs every selected check on it, so reports and first
-witnesses are reproducible byte for byte; wall time is therefore kept
-out of the machine form.
+Every atom, hypothesis and check is invariant under relabeling the
+points, so a sweep first runs every selected check on one domain space
+per relabeling orbit, weighting its counts by the orbit's size; a check
+that holds there holds on every space.  A check that fails on some
+representative is swept again over every labeled domain space, in
+canonical order, which gives its counts and witnesses.  Reports and first
+witnesses are therefore those of a labeled sweep, reproducible byte for
+byte; wall time is kept out of the machine form.
 Violation witnesses carry the full instance and replay through the
 definitional predicates in topoideal.classes / topoideal.maps, which is
 an independent route from the sweep's precomputed tables.
@@ -29,16 +33,18 @@ an independent route from the sweep's precomputed tables.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 from collections import Counter
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from . import claims as _claims
-from .analysis import MAP_ATOMS, SET_ATOMS, SpaceAnalysis, TopologyAnalysis, family_bits
+from .analysis import SET_ATOMS, SpaceAnalysis, TopologyAnalysis, _MapPacking, _SetPacking
 from .classes import pio_family, set_classes
 from .core import (
     IdealSpace,
@@ -50,7 +56,7 @@ from .core import (
     space_props,
     subspace,
 )
-from .enumeration import ideals, maps, topologies
+from .enumeration import _orbits, ideals, topologies
 from .maps import (
     SpaceMap,
     check_pre_i_continuity_equivalences,
@@ -555,112 +561,6 @@ class Report:
 
 # --- packed atom values -------------------------------------------------------
 
-class _SetPacking:
-    """Set atoms of one space packed over its subsets: bit a is subset a.
-    Laws read them straight off the SpaceAnalysis, whose lazy tables build
-    each family on first use."""
-
-    kind = "set"
-    leaf = SET_ATOMS.__getitem__
-
-    def __init__(self, n: int):
-        self.structures = 1 << n
-        self.full = (1 << self.structures) - 1
-        self.subset_data = [(("subset", a),) for a in range(self.structures)]
-
-    def values(self, sa: SpaceAnalysis) -> SpaceAnalysis:
-        return sa
-
-    def data(self, bit: int) -> tuple[tuple[str, object], ...]:
-        return self.subset_data[bit]
-
-
-@lru_cache(maxsize=None)
-def _preimage_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """preimage mask of every codomain mask, for every point table on n points."""
-    return tuple(
-        tuple(sum(1 << x for x in range(n) if m >> tab[x] & 1) for m in range(1 << n))
-        for tab in maps(n, n))
-
-
-class _MapPacking:
-    """Map atoms of one domain space packed over (codomain, map) on n points:
-    bit ci * len(tabs) + mi is point table tabs[mi] into topology topos[ci],
-    so ascending bits follow the enumeration order.
-
-    A map atom holds iff every codomain set of its kind (opens, or closed
-    sets) pulls back into its domain family.  For one map the codomain
-    masks that pull back form a mask `good`, and the codomains it admits,
-    spread to their bit positions, are cached per `good`.
-    """
-
-    kind = "map"
-    leaf = itemgetter
-    # entries per kind: every mask on 3 points fits, so only n = 4, where an
-    # entry is an 11 kB int, ever clears the cache
-    SPREAD_CACHE_LIMIT = 256
-
-    def __init__(self, n: int):
-        self.topos = topologies(n)
-        self.tabs = maps(n, n)
-        self.preims = _preimage_tables(n)
-        self.structures = len(self.topos) * len(self.tabs)
-        self.full = (1 << self.structures) - 1
-        self.cod_families = {
-            "opens": [family_bits(t.opens) for t in self.topos],
-            "closed": [family_bits(t.closed_sets()) for t in self.topos],
-        }
-        self.spreads: dict[str, dict[int, int]] = {"opens": {}, "closed": {}}
-        self.cod_data = [("cod_topology", t.opens) for t in self.topos]
-        self.map_data = [("map", tab) for tab in self.tabs]
-
-    def values(self, sa: SpaceAnalysis) -> _MapValues:
-        return _MapValues(self, sa)
-
-    def family(self, sa: SpaceAnalysis, atom: str) -> int:
-        if atom in _claims.SPACE_FLAGS:
-            return self.full if SET_ATOMS[atom](sa) else 0
-        domain, kind = MAP_ATOMS[atom]
-        fam = domain(sa)
-        spread = self.spreads[kind]
-        out = 0
-        for mi, pt in enumerate(self.preims):
-            good = 0
-            for v, p in enumerate(pt):
-                if fam >> p & 1:
-                    good |= 1 << v
-            packed = spread.get(good)
-            if packed is None:
-                if len(spread) >= self.SPREAD_CACHE_LIMIT:
-                    spread.clear()
-                packed = spread[good] = self._spread(kind, good)
-            out |= packed << mi
-        return out
-
-    def _spread(self, kind: str, good: int) -> int:
-        stride = len(self.tabs)
-        out = 0
-        for ci, fam in enumerate(self.cod_families[kind]):
-            if fam & ~good == 0:
-                out |= 1 << (ci * stride)
-        return out
-
-    def data(self, bit: int) -> tuple[tuple[str, object], ...]:
-        ci, mi = divmod(bit, len(self.tabs))
-        return self.cod_data[ci], self.map_data[mi]
-
-
-class _MapValues(dict):
-    """Packed map atoms of one domain space, each built on first read."""
-
-    def __init__(self, packing: _MapPacking, sa: SpaceAnalysis):
-        self.packing, self.sa = packing, sa
-
-    def __missing__(self, atom: str) -> int:
-        value = self[atom] = self.packing.family(self.sa, atom)
-        return value
-
-
 @lru_cache(maxsize=None)
 def _packing(scope: str, n: int) -> _SetPacking | _MapPacking:
     return _SetPacking(n) if scope == "sets" else _MapPacking(n)
@@ -735,15 +635,34 @@ def _spaces(n: int, topo_lo: int = 0, topo_hi: int | None = None):
             yield SpaceAnalysis(IdealSpace(topo, ideal), ta)
 
 
+def _orbit_spaces(n: int, topo_lo: int, topo_hi: int):
+    """(SpaceAnalysis, weight) of the representative of every relabeling
+    orbit whose topology index lies in [topo_lo, topo_hi), in enumeration
+    order."""
+    topos, ideal_list = topologies(n), ideals(n)
+    for ti, gens in _orbits(n):
+        if topo_lo <= ti < topo_hi:
+            ta = TopologyAnalysis(topos[ti])
+            for gen, weight in gens:
+                yield SpaceAnalysis(IdealSpace(topos[ti], ideal_list[gen]), ta), weight
+
+
 def _sweep_partition(args):
-    """Worker entry: every domain space of one topology index range once,
-    every selected check on it.  Returns [visited, violations, witnesses]
-    per selection key, and the structure counts."""
-    n, resolved, topo_lo, topo_hi, max_witnesses = args
+    """Worker entry: every selected check on the domain spaces of one
+    topology index range.  The labeled pass visits every space once.  The
+    orbit pass visits the representative of every relabeling orbit and
+    weights its counts by the orbit's size: every atom and hypothesis is
+    invariant under relabeling, so a check that holds on a representative
+    holds on its orbit, and a check that fails on one is refuted and
+    dropped at once, without witnesses, for the labeled pass to sweep.
+    Returns [visited, violations, witnesses] per selection key, the
+    structure counts, and the refuted keys."""
+    n, resolved, topo_lo, topo_hi, max_witnesses, labeled = args
     if not resolved:
-        return {}, {}
+        return {}, {}, set()
     # per key: structures visited, violations, kept witnesses
     acc = {key: [0, 0, []] for key, *_ in resolved}
+    refuted: set[str] = set()
 
     def emit(key, witness):
         entry = acc[key]
@@ -751,8 +670,7 @@ def _sweep_partition(args):
         if len(entry[2]) < max_witnesses:
             entry[2].append(witness)
 
-    map_packing = None
-    laws, runs = [], []
+    map_packing, laws, runs = None, [], []
     for key, cid, direction, hypothesis in resolved:
         check = REGISTRY[cid]
         passes = None if hypothesis == "none" else _SPACE_PASSES[hypothesis]  # None: all pass
@@ -771,19 +689,24 @@ def _sweep_partition(args):
             runs.append((key, check, passes, packing, law))
     spaces = 0
     found: list[tuple] = []   # (data, trace) per violation of one declaration on one space
-    for sa in _spaces(n, topo_lo, topo_hi):
-        spaces += 1
+    weighted = (zip(_spaces(n, topo_lo, topo_hi), itertools.repeat(1)) if labeled
+                else _orbit_spaces(n, topo_lo, topo_hi))
+    for sa, weight in weighted:
+        spaces += weight
         # map atoms are built on their first read, by a check the space admits
         map_values = map_packing.values(sa) if map_packing else None
         for key, check, passes, packing, legs, packed, checked, per_space in laws:
-            if passes and not passes(sa):
+            if key in refuted or passes and not passes(sa):
                 continue
-            acc[key][0] += per_space
+            acc[key][0] += per_space * weight
             values = map_values if packing is map_packing else sa
             failing = 0
             for law in packed:
                 failing |= checked & ~law(values)
             if not failing:
+                continue
+            if not labeled:
+                refuted.add(key)
                 continue
             base = _space_data(sa.sp)
             bad = [checked & ~law(values) for law in packed]
@@ -798,22 +721,37 @@ def _sweep_partition(args):
                     trace=_trace(atoms, tuple(read(values) >> bit & 1 for read in readers)),
                 ))
         for key, check, passes, packing, law in runs:
-            if passes and not passes(sa):
+            if key in refuted or passes and not passes(sa):
                 continue
-            acc[key][0] += law.run(map_values if packing is map_packing else sa, found)
-            if found:
+            acc[key][0] += law.run(map_values if packing is map_packing else sa, found) * weight
+            if found and labeled:
                 base = _space_data(sa.sp)
                 for data, trace in found:
                     emit(key, Witness(n=n, kind=law.kind, check_id=check.id, direction=None,
                                       claim=None, data=base + data, trace=trace))
-                found.clear()
+            elif found:
+                refuted.add(key)
+            found.clear()
     counts = {"spaces": spaces}
     if any(entry[3] is map_packing for entry in laws):
         counts["map_structures"] = spaces * map_packing.structures
     for key, _, _, _, law in runs:
         if law.scope_count:
             counts[law.scope_count] = acc[key][0]
-    return acc, counts
+    return acc, counts, refuted
+
+
+def _merge(partials, rows) -> tuple[dict[str, list], dict[str, int]]:
+    """Per-key [visited, violations, witnesses] and structure counts, summed
+    over partitions in partition order."""
+    counts: Counter[str] = Counter()
+    merged: dict[str, list] = {key: [0, 0, []] for key, *_ in rows}
+    for out, sc, _ in partials:
+        counts.update(sc)
+        for key, part in out.items():
+            # visited and violation counts add up, witness lists concatenate
+            merged[key] = [total + more for total, more in zip(merged[key], part)]
+    return merged, dict(counts)
 
 
 # --- selection and the public suite entry --------------------------------------
@@ -863,6 +801,14 @@ def resolve_selection(selection, direction=None, hypothesis=None):
     return rows
 
 
+def _cuts(n_topos: int, jobs: int) -> list[int]:
+    """Topology index bounds of the partitions of a sweep under `jobs` workers."""
+    # more chunks than workers: the canonical order front-loads fine
+    # topologies, which carry most of the work
+    chunks = 1 if jobs == 1 else min(n_topos, jobs * 6)
+    return [round(i * n_topos / chunks) for i in range(chunks + 1)]
+
+
 def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
                       hypothesis=None, jobs: int = 1,
                       max_witnesses: int = DEFAULT_MAX_WITNESSES,
@@ -891,28 +837,32 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
     n_topos = len(topologies(bound))
     # never more workers than usable cores, whatever the caller asks for
     jobs = max(1, min(jobs, n_topos, len(os.sched_getaffinity(0))))
-    if jobs == 1:
-        partials = [_sweep_partition((bound, kept, 0, n_topos, max_witnesses))]
-    else:
-        # more chunks than workers: the canonical order front-loads fine
-        # topologies, which carry most of the work
-        chunks = min(n_topos, jobs * 6)
-        cuts = [round(i * n_topos / chunks) for i in range(chunks + 1)]
-        args = [(bound, kept, cuts[i], cuts[i + 1], max_witnesses)
-                for i in range(chunks) if cuts[i] < cuts[i + 1]]
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(jobs) as pool:
-            # map returns in argument order, so merging keeps the serial
-            # witness order and reports stay byte-identical across job counts
-            partials = pool.map(_sweep_partition, args)
+    cuts = _cuts(n_topos, jobs)
 
-    counts: Counter[str] = Counter()
-    merged: dict[str, list] = {key: [0, 0, []] for key, *_ in kept}
-    for out, sc in partials:
-        counts.update(sc)
-        for key, part in out.items():
-            # visited and violation counts add up, witness lists concatenate
-            merged[key] = [total + more for total, more in zip(merged[key], part)]
+    def sweep(pool, selected, labeled):
+        args = [(bound, selected, lo, hi, max_witnesses, labeled)
+                for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+        # map returns in argument order, so merging keeps the serial
+        # witness order and reports stay byte-identical across job counts
+        return pool.map(_sweep_partition, args) if pool else [_sweep_partition(a) for a in args]
+
+    with contextlib.ExitStack() as stack:
+        pool = None
+        if jobs > 1:
+            import multiprocessing as mp
+            _orbits(bound)   # built once, before the workers fork
+            pool = stack.enter_context(mp.get_context("fork").Pool(jobs))
+        orbit = sweep(pool, kept, False)
+        # an orbit's members can lie in other partitions than its
+        # representative, so every partition re-sweeps every refuted key
+        refuted = set().union(*(part[2] for part in orbit))
+        again = [row for row in kept if row[0] in refuted]
+        labeled = sweep(pool, again, True) if again else []
+    merged, counts = _merge(orbit, kept)
+    relabeled, recounts = _merge(labeled, again)
+    # the labeled pass's counts replace the orbit pass's for refuted keys
+    merged.update(relabeled)
+    counts.update(recounts)
     results = tuple(
         CheckResult(
             check_id=cid, direction=direc, hypothesis=hyp,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from topoideal.analysis import MAP_ATOMS, SpaceAnalysis, TopologyAnalysis
+from topoideal.analysis import MAP_ATOMS, SpaceAnalysis, TopologyAnalysis, _MapPacking
 from topoideal.claims import (
     And,
     Atom,
@@ -33,6 +33,7 @@ from topoideal.verify import (
     REGISTRY,
     Witness,
     _packing,
+    _spaces,
     find_counterexample,
     replay_witness,
     run_theorem_suite,
@@ -76,6 +77,23 @@ def test_packed_map_atoms_match_definitional_route(n):
                 assert (packed[atom] >> bit & 1 == 1) == flags[atom], (atom, bit)
         for atom in atoms:
             assert packed[atom] >> per_space == 0, atom
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_map_families_match_unshared_route(n):
+    # one packing across every space shares a family between the ideals of a
+    # topology; a fresh packing per space and atom shares nothing
+    shared = _MapPacking(n)
+    built = []
+    build = shared._family
+    shared._family = lambda *key: built.append(key) or build(*key)
+    atoms = sorted(MAP_ATOMS) + sorted(atoms_for_scope("maps") - set(MAP_ATOMS))
+    visits = 0
+    for sa in _spaces(n):
+        for atom in atoms:
+            visits += atom in MAP_ATOMS
+            assert shared.family(sa, atom) == _MapPacking(n).family(sa, atom), (atom, sa.sp)
+    assert len(built) < visits
 
 
 def _map_cases():

@@ -191,6 +191,11 @@ def test_replay_rejects_a_family_witness_moved_to_a_space_where_families_agree()
 
 
 def test_suite_builds_one_space_analysis_per_space(monkeypatch):
+    # the orbit pass builds each of the 10 representatives of the 16 spaces
+    # on 2 points once; a failing check adds at most one build per labeled
+    # space.  The tt5 second-hop tables build every middle space once per
+    # process, so they are built before counting starts.
+    run_theorem_suite(2, "all", hypothesis="none")
     built = []
 
     class Counting(SpaceAnalysis):
@@ -200,5 +205,12 @@ def test_suite_builds_one_space_analysis_per_space(monkeypatch):
 
     monkeypatch.setattr(verify, "SpaceAnalysis", Counting)
     report = run_theorem_suite(2, "all")
-    assert dict(report.scope_counts)["spaces"] == 16
-    assert len(built) == len(set(built)) == 16
+    assert report.passed and dict(report.scope_counts)["spaces"] == 16
+    representatives = built[:]
+    assert len(representatives) == len(set(representatives)) == 10
+    built.clear()
+    report = run_theorem_suite(2, "all", hypothesis="none")
+    assert not report.passed and dict(report.scope_counts)["spaces"] == 16
+    assert built[:10] == representatives
+    labeled = built[10:]
+    assert 0 < len(labeled) == len(set(labeled)) <= 16

@@ -3,7 +3,9 @@ carrier size and options, `Report.to_json()` stays the same byte for byte.
 
 The first three digests were recorded from the sweep before its per-scope
 loops were merged into one space loop, the two tt5 digests before tt5
-became a packed composition law; any change to what a sweep visits,
+became a packed composition law, and the set-scope suite at 5 points from
+the labeled sweep, before sweeps visited one space per relabeling orbit
+(that sweep took about three minutes); any change to what a sweep visits,
 counts, reports or in which order shows up here.
 """
 
@@ -11,7 +13,7 @@ import hashlib
 
 import pytest
 
-from topoideal.verify import run_theorem_suite
+from topoideal.verify import REGISTRY, run_theorem_suite
 
 CONTRACT = [
     ((4, "all"), {},
@@ -38,3 +40,12 @@ def test_report_json_digest(args, kwargs, digest):
 def test_tt5_report_is_the_same_under_two_jobs():
     serial = run_theorem_suite(3, "tt5")
     assert run_theorem_suite(3, "tt5", jobs=2).to_json() == serial.to_json()
+
+
+@pytest.mark.slow
+def test_set_scope_suite_at_five_points_digest():
+    selection = [cid for cid, check in REGISTRY.items() if check.scope.startswith("set")]
+    report = run_theorem_suite(5, selection, allow_large=True)
+    assert report.passed
+    assert (hashlib.sha256(report.to_json().encode()).hexdigest()
+            == "b37efc636cb8fd8b4aa30d192f639c4f1ecda79e4758aa97a104e7e6dddbb2b3")
