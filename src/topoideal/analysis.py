@@ -32,8 +32,9 @@ from .core import (
     bits,
     local_function,
     principal_ideal,
-    star_min_nbhd,
+    submasks,
     subspace,
+    tau_star,
 )
 from .enumeration import maps, topologies
 
@@ -223,23 +224,15 @@ class SpaceAnalysis:
         return self.star_families[3]
 
     @lazy_table
-    def pio_family(self) -> tuple[int, ...]:
-        return tuple(bits(self.pio_bits))
-
-    @lazy_table
-    def perfect_family(self) -> tuple[int, ...]:
-        return tuple(bits(self.perfect_bits))
-
-    @lazy_table
     def ilc_bits(self) -> int:
         """Packed I-locally closed family: every U & V, U open, V star-perfect."""
         # nested loops, not family_bits over a generator: this runs on every
         # Hayashi-Samuels space of a tt42 sweep
         opens = self.sp.topo.opens
         out = 0
-        # bits(), not perfect_family: a tuple cached on every space lands
-        # in CPython's tuple free lists when the space is freed, and peak
-        # RSS creeps from sweep to sweep
+        # bits(), not a cached tuple of the members: a tuple cached on every
+        # space lands in CPython's tuple free lists when the space is freed,
+        # and peak RSS creeps from sweep to sweep
         for v in bits(self.perfect_bits):
             for u in opens:
                 out |= 1 << (u & v)
@@ -247,8 +240,7 @@ class SpaceAnalysis:
 
     @lazy_table
     def ts_open_bits(self) -> int:
-        ms = star_min_nbhd(self.sp)
-        return _pack(all(ms[x] & ~m == 0 for x in bits(m)) for m in range(self.size))
+        return family_bits(tau_star(self.sp).opens)
 
     @lazy_table
     def hayashi_samuels(self) -> bool:
@@ -272,9 +264,12 @@ class SpaceAnalysis:
     @lazy_table
     def pio_cover_bits(self) -> int:
         """Every point of m lies in some pre-I-open set inside m (tt4 condition 2)."""
-        fam = self.pio_family
-        return _pack(all(any(w >> x & 1 and w & ~m == 0 for w in fam) for x in bits(m))
-                     for m in range(self.size))
+        # bits(), not a cached tuple of the members, as in ilc_bits
+        inside = [0] * self.size   # union of the pre-I-open sets inside m
+        for w in bits(self.pio_bits):
+            for rest in submasks(self.full ^ w):
+                inside[w | rest] |= w
+        return _pack(inside[m] == m for m in range(self.size))
 
     @lazy_table
     def cl_star_nbhd_bits(self) -> int:

@@ -118,11 +118,24 @@ def _topology_from_opens_trusted(n: int, opens) -> FiniteTopology:
     return FiniteTopology(n, canon, _min_nbhd_from_opens(n, canon))
 
 
+def _unions(rows) -> list[int]:
+    """Entry m is the union of rows[x] over the points x of m, for every
+    mask m on len(rows) points.  The masks with top point x are those
+    below 1 << x with x added, so each entry costs one OR."""
+    up = [0]
+    for row in rows:
+        up += [u | row for u in up]
+    return up
+
+
 def _topology_from_min_nbhd(n: int, min_nbhd) -> FiniteTopology:
-    """Build the Alexandrov topology of a consistent min-neighborhood table."""
-    opens = [m for m in range(1 << n)
-             if all(min_nbhd[x] & ~m == 0 for x in bits(m))]
-    return FiniteTopology(n, tuple(opens), tuple(min_nbhd))
+    """Build the Alexandrov topology of a consistent min-neighborhood table.
+
+    m is open iff it holds the minimal neighborhood of each of its points,
+    i.e. iff the union of those neighborhoods, which contains m, is m.
+    """
+    opens = tuple(m for m, up in enumerate(_unions(min_nbhd)) if up == m)
+    return FiniteTopology(n, opens, tuple(min_nbhd))
 
 
 def make_topology(n: int, family) -> FiniteTopology:

@@ -11,7 +11,8 @@ orbit.
 Topologies come from one route: a generator of consistent
 minimal-neighborhood tables, i.e. preorders, each giving its Alexandrov
 topology.  The test suite cross-checks it against a brute filter of all
-families containing the empty set and the carrier.
+families containing the empty set and the carrier, and against the
+unpacked table generator and per-mask opens it replaced.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .core import (
     Ideal,
     TopoidealError,
     _topology_from_min_nbhd,
+    _unions,
+    bits,
 )
 
 MAX_TOPOLOGY_POINTS = 5
@@ -63,31 +66,36 @@ def maps(dom_n: int, cod_n: int, budget: int = DEFAULT_MAP_BUDGET) -> tuple[tupl
     return tuple(itertools.product(range(cod_n), repeat=dom_n))
 
 
+@lru_cache(maxsize=None)
+def _row_choices(n: int, x: int, y: int, row_y: int) -> int:
+    """Packed rows for point x that agree with an earlier point y whose row
+    is row_y: bit c is set iff c contains row_y when it contains y, and c
+    lies inside row_y when row_y contains x."""
+    inside = row_y if row_y >> x & 1 else (1 << n) - 1
+    return sum(1 << c for c in range(1 << n)
+               if c & ~inside == 0 and (not c >> y & 1 or row_y & ~c == 0))
+
+
 def _min_nbhd_tables(n: int) -> list[tuple[int, ...]]:
     """All consistent minimal-neighborhood tables: rows with x in row[x] such
-    that membership implies row containment (a preorder, row = up-set)."""
+    that membership implies row containment (a preorder, row = up-set), in
+    ascending order of the row tuples.  Point x may take the rows left in
+    the AND of the packed choices each earlier row allows."""
     results: list[tuple[int, ...]] = []
     rows: list[int] = []
+    own = [sum(1 << c for c in range(1 << n) if c >> x & 1) for x in range(n)]
 
     def extend(x: int) -> None:
         if x == n:
             results.append(tuple(rows))
             return
-        for cand in range(1 << n):
-            if not cand >> x & 1:
-                continue
-            ok = True
-            for y in range(x):
-                if cand >> y & 1 and rows[y] & ~cand:
-                    ok = False
-                    break
-                if rows[y] >> x & 1 and cand & ~rows[y]:
-                    ok = False
-                    break
-            if ok:
-                rows.append(cand)
-                extend(x + 1)
-                rows.pop()
+        allowed = own[x]
+        for y, row_y in enumerate(rows):
+            allowed &= _row_choices(n, x, y, row_y)
+        for cand in bits(allowed):
+            rows.append(cand)
+            extend(x + 1)
+            rows.pop()
 
     extend(0)
     return results
@@ -119,12 +127,9 @@ def _orbits(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     relabelings to the min_nbhd rows of its first member."""
     topos = topologies(n)
     index = {topo.min_nbhd: i for i, topo in enumerate(topos)}
-    relabels = []   # (permutation, the image of every mask under it)
-    for perm in itertools.permutations(range(n)):
-        image = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            image[m] = image[m & (m - 1)] | 1 << perm[(m & -m).bit_length() - 1]
-        relabels.append((perm, image))
+    # (permutation, the image of every mask under it)
+    relabels = [(perm, _unions([1 << p for p in perm]))
+                for perm in itertools.permutations(range(n))]
     placed, out = set(), []
     for i, topo in enumerate(topos):
         if i in placed:

@@ -189,8 +189,8 @@ def _assert_indexed_tables_match(sp):
         assert sa.ta.interior_t[a] == interior_oracle(sp.topo, a)
         assert sa.ta.closure_t[a] == closure_oracle(sp.topo, a)
     families = {
-        "pio_family": (sa.pio_family, "pre_i_open"),
-        "perfect_family": (sa.perfect_family, "star_perfect"),
+        "pio_family": (tuple(bits(sa.pio_bits)), "pre_i_open"),
+        "perfect_family": (tuple(bits(sa.perfect_bits)), "star_perfect"),
         "preopen_family": (tuple(bits(SET_ATOMS["preopen"](sa))), "preopen"),
         "semi_family": (tuple(bits(SET_ATOMS["semi_open"](sa))), "semi_open"),
         "alpha_family": (tuple(bits(SET_ATOMS["alpha_open"](sa))), "alpha_open"),

@@ -1,19 +1,41 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
-from topoideal.core import full_mask, make_ideal, make_topology, submasks
+from topoideal.core import (
+    IdealSpace,
+    _topology_from_min_nbhd,
+    full_mask,
+    make_ideal,
+    make_topology,
+    principal_ideal,
+    submasks,
+    tau_star,
+)
 from topoideal.enumeration import (
     BudgetExceeded,
     CarrierTooLarge,
     EnumCursor,
+    _min_nbhd_tables,
     ideals,
     maps,
     subsets,
     topologies,
     topologies_by_preorder,
 )
-from util import all_topologies_bruteforce
+from util import (
+    alexandrov_opens_oracle,
+    all_topologies_bruteforce,
+    min_nbhd_tables_oracle,
+    tau_star_oracle,
+    transitive_rows,
+)
+
+# sha256 of repr([(t.opens, t.min_nbhd) for n in 1..5 for t in topologies(n)]),
+# recorded from the per-mask enumeration the packed one replaced
+TOPOLOGIES_DIGEST = "2ca08f53dc9e80f2b394fc47e63dff9133fac201ea39df32ac10c2a963390ad8"
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29), (4, 355)])
@@ -54,9 +76,48 @@ def test_topologies_distinct_and_sorted():
         assert len(set(opens)) == len(opens)
 
 
-@pytest.mark.slow
 def test_topology_count_five_points():
     assert len(topologies(5)) == 6942
+
+
+def test_topologies_match_pinned_digest():
+    # element for element and in order, opens and tables, on 1..5 points
+    data = [(t.opens, t.min_nbhd) for n in range(1, 6) for t in topologies(n)]
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == TOPOLOGIES_DIGEST
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_tables_match_oracle_in_order(n):
+    assert _min_nbhd_tables(n) == min_nbhd_tables_oracle(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_up_closure_opens_match_oracle_on_every_table(n):
+    for rows in min_nbhd_tables_oracle(n):
+        assert _topology_from_min_nbhd(n, rows).opens == alexandrov_opens_oracle(rows)
+
+
+def random_preorder(rng: random.Random, n: int, arrows: float) -> list[int]:
+    """Min-neighborhood table of the transitive closure of a random relation
+    with `arrows` expected arrows out of each point."""
+    return transitive_rows(
+        [sum(1 << y for y in range(n) if rng.random() < arrows / n) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", range(6, 17))
+def test_up_closure_opens_match_oracle_on_random_preorders(n):
+    rng = random.Random(n)
+    for arrows in (0.5, 1, 2):
+        rows = random_preorder(rng, n, arrows)
+        assert _topology_from_min_nbhd(n, rows).opens == alexandrov_opens_oracle(rows)
+
+
+def test_tau_star_on_sixteen_points_matches_its_base():
+    rows = random_preorder(random.Random(2), 16, 2)
+    topo = make_topology(16, alexandrov_opens_oracle(rows))
+    assert len(topo.opens) == 46   # neither discrete nor indiscrete
+    sp = IdealSpace(topo, principal_ideal(16, 0xa006))
+    assert frozenset(tau_star(sp).opens) == tau_star_oracle(sp)
 
 
 def test_ideal_counts_and_bounds():

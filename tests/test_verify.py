@@ -4,7 +4,7 @@ import pytest
 
 from topoideal.analysis import SET_ATOMS, SpaceAnalysis
 from topoideal.claims import UnknownAtom
-from topoideal.core import TopoidealError
+from topoideal.core import TopoidealError, bits
 from topoideal.verify import (
     REGISTRY,
     CarrierTooLargeForSuite,
@@ -196,7 +196,7 @@ def test_pio_union_closure_all_subfamilies_oracle(n):
     # checked directly over every subfamily
     for sp in all_spaces_bruteforce(n):
         sa = SpaceAnalysis(sp)
-        fam = sa.pio_family
+        fam = tuple(bits(sa.pio_bits))
         piclosed = SET_ATOMS["pre_i_closed"](sa)
         for picks in range(1 << len(fam)):
             union = 0

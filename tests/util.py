@@ -142,26 +142,70 @@ def tau_star_oracle(sp: IdealSpace) -> frozenset[int]:
         opens |= new
 
 
+# The package's earlier enumeration routes, kept as oracles for the packed
+# ones: Alexandrov opens tested mask by mask, and min-neighborhood tables
+# grown point by point, each candidate row tested against every earlier row.
+def alexandrov_opens_oracle(rows) -> tuple[int, ...]:
+    """Masks holding the min-neighborhood row of each of their points."""
+    n = len(rows)
+    return tuple(m for m in range(1 << n)
+                 if all(rows[x] & ~m == 0 for x in range(n) if m >> x & 1))
+
+
+def min_nbhd_tables_oracle(n: int) -> list[tuple[int, ...]]:
+    """Every preorder's min-neighborhood table, rows ascending lexicographically."""
+    results: list[tuple[int, ...]] = []
+    rows: list[int] = []
+
+    def extend(x: int) -> None:
+        if x == n:
+            results.append(tuple(rows))
+            return
+        for cand in range(1 << n):
+            if not cand >> x & 1:
+                continue
+            ok = True
+            for y in range(x):
+                if cand >> y & 1 and rows[y] & ~cand:
+                    ok = False
+                    break
+                if rows[y] >> x & 1 and cand & ~rows[y]:
+                    ok = False
+                    break
+            if ok:
+                rows.append(cand)
+                extend(x + 1)
+                rows.pop()
+
+    extend(0)
+    return results
+
+
+def transitive_rows(rows) -> list[int]:
+    """Rows of a relation (row x = the points x relates to) made reflexive and
+    closed under transitivity by fixpoint: a consistent min-neighborhood table."""
+    rows = [row | 1 << x for x, row in enumerate(rows)]
+    changed = True
+    while changed:
+        changed = False
+        for x, row in enumerate(rows):
+            acc = row
+            for y in range(len(rows)):
+                if row >> y & 1:
+                    acc |= rows[y]
+            if acc != row:
+                rows[x] = acc
+                changed = True
+    return rows
+
+
 # Random valid spaces for hypothesis: a random reflexive relation row set,
 # forced transitive by fixpoint, gives a consistent min-neighborhood table.
 @st.composite
 def spaces(draw, min_n: int = 1, max_n: int = 4):
     n = draw(st.integers(min_n, max_n))
-    rows = [draw(st.integers(0, full_mask(n))) | (1 << x) for x in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            acc = rows[x]
-            for y in range(n):
-                if rows[x] >> y & 1:
-                    acc |= rows[y]
-            if acc != rows[x]:
-                rows[x] = acc
-                changed = True
-    opens = [m for m in range(1 << n)
-             if all(rows[x] & ~m == 0 for x in range(n) if m >> x & 1)]
-    topo = make_topology(n, opens)
+    rows = transitive_rows([draw(st.integers(0, full_mask(n))) for _ in range(n)])
+    topo = make_topology(n, alexandrov_opens_oracle(rows))
     gen = draw(st.integers(0, full_mask(n)))
     return IdealSpace(topo, principal_ideal(n, gen))
 
