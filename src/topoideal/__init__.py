@@ -69,7 +69,6 @@ from .enumeration import (
     maps,
     subsets,
     topologies,
-    topologies_by_preorder,
 )
 from .claims import (
     ClaimError,

@@ -101,19 +101,15 @@ def _min_nbhd_tables(n: int) -> list[tuple[int, ...]]:
     return results
 
 
-def topologies_by_preorder(n: int) -> tuple[FiniteTopology, ...]:
-    """Alexandrov topologies of all preorders on n points, sorted by opens."""
+@lru_cache(maxsize=None)
+def topologies(n: int) -> tuple[FiniteTopology, ...]:
+    """Every labeled topology on n points exactly once, the Alexandrov
+    topology of each preorder, sorted by opens (cached)."""
     if not 1 <= n <= MAX_TOPOLOGY_POINTS:
         raise CarrierTooLarge(f"topologies need 1 <= n <= {MAX_TOPOLOGY_POINTS}, got {n}")
     out = [_topology_from_min_nbhd(n, rows) for rows in _min_nbhd_tables(n)]
     out.sort(key=lambda t: t.opens)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def topologies(n: int) -> tuple[FiniteTopology, ...]:
-    """Every labeled topology on n points exactly once, sorted by opens (cached)."""
-    return topologies_by_preorder(n)
 
 
 @lru_cache(maxsize=None)

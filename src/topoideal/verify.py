@@ -6,17 +6,18 @@ pairs, per-space family equalities, maps, or map pairs), an optional
 hypothesis filter, and, for biconditionals, two directions that can be
 run separately to map where each hypothesis is actually needed.
 
-Every single-subset and single-map check is a law: a claim in the grammar
-of topoideal.claims, one per direction.  The sweep evaluates a law on the
+Every check is one law object that carries its own sweep over the packed
+tables of a space, run, and its own replay on the definitional route.
+The single-subset and single-map checks are claim laws: claims in the
+grammar of topoideal.claims, one per direction, that run evaluates on the
 packed atom families of one space at a time (every subset, or every
-codomain and map, at once) and reports where it fails; the claim search
-reports the first structure where a claim holds, on the same packed
-values; replay evaluates the same text on the definitional flags.  Every
-other check is one declaration that carries its own sweep over the packed
-tables of a space and its own replay: the lemmas over subset pairs are
-pair laws, the family equalities family laws, tt5 a composition law, and
-l1 and isi_consistency a declaration each.  The composition search is one
-more composition law, run until its first witness.
+codomain and map, at once) and replay evaluates on the definitional
+flags.  The lemmas over subset pairs are pair laws, the family equalities
+family laws, tt5 a composition law, and l1 and isi_consistency a law
+each.  The two searches run a law until its first violation: the claim
+search the claim law !claim, whose first violation is the first
+structure where the claim holds, and the composition search one more
+composition law.
 
 Every atom, hypothesis and check is invariant under relabeling the
 points, so a sweep first runs every selected check on one domain space
@@ -104,12 +105,13 @@ def _unpacked(family: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class _Declaration:
-    """A check that is not a claim.  run(values, found) checks one space:
-    it appends (data, trace) to found per violation and returns the number
+    """The law of a check.  run(values, found) checks one space: it appends
+    (direction, data, trace) to found per violation and returns the number
     of instances visited; values is the space's SpaceAnalysis, or its packed
-    map atoms if the declaration reads "maps".  replay(sp, data) re-evaluates
-    one instance on the definitional route and returns the trace of its
-    violation, or None if it has none."""
+    map atoms if the law reads "maps", and direction is None but on a leg
+    of a biconditional.  replay(sp, data) re-evaluates one instance on the
+    definitional route and returns the trace of its violation, or None if
+    it has none."""
 
     reads = "sets"
     scope_count = None   # the scope count that its visited instances make
@@ -158,7 +160,7 @@ class _PairLaw(_Declaration):
             else:
                 bad = [(a, b) for a in firsts for b in seconds if not holds[a & b]]
         trace = self.trace()
-        found.extend(((("first", a), ("second", b)), trace) for a, b in bad)
+        found.extend((None, (("first", a), ("second", b)), trace) for a, b in bad)
         return visited
 
     def replay(self, sp: IdealSpace, data: dict):
@@ -189,8 +191,8 @@ class _FamilyLaw(_Declaration):
     def run(self, sa: SpaceAnalysis, found: list) -> int:
         pio, expected = SET_ATOMS["pre_i_open"](sa), SET_ATOMS[self.atom](sa)
         if pio != expected:
-            found.append(((("expected", tuple(bits(expected))), ("pio_family", tuple(bits(pio)))),
-                          self.trace))
+            found.append((None, (("expected", tuple(bits(expected))),
+                                 ("pio_family", tuple(bits(pio)))), self.trace))
         return 1
 
     def replay(self, sp: IdealSpace, data: dict):
@@ -216,7 +218,7 @@ class _StarLaw(_Declaration):
             for a in range(sa.size):
                 whole, rel = u & star[a], star[u & a]
                 if whole != u & rel or whole & ~rel:
-                    found.append(((("first", u), ("second", a)), self.trace(whole, u, rel)))
+                    found.append((None, (("first", u), ("second", a)), self.trace(whole, u, rel)))
         return len(opens) * sa.size
 
     def replay(self, sp: IdealSpace, data: dict):
@@ -250,7 +252,7 @@ class _IrresolvableLaw(_Declaration):
         classical = SET_ATOMS["pre_i_open"](sa) & ~SET_ATOMS["open"](sa) == 0
         hit = self.violation(gen == 0, SET_ATOMS["i_strongly_irresolvable"](sa) != 0, classical)
         if hit:
-            found.append(hit)
+            found.append((None, *hit))
         return 1
 
     def replay(self, sp: IdealSpace, data: dict):
@@ -310,9 +312,9 @@ class _CompositionLaw(_Declaration):
                 for hop in bits(packed[mi]):
                     ui, gi = divmod(hop, stride)
                     if missed >> (ui * stride + comp[fi][gi]) & 1:
-                        found.append((mid + (("map_first", tabs[fi]),
-                                             ("cod_topology", topos[ui].opens),
-                                             ("map_second", tabs[gi])), trace))
+                        found.append((None, mid + (("map_first", tabs[fi]),
+                                                   ("cod_topology", topos[ui].opens),
+                                                   ("map_second", tabs[gi])), trace))
         return visited
 
     def replay(self, sp: IdealSpace, data: dict):
@@ -324,6 +326,82 @@ class _CompositionLaw(_Declaration):
         held = (getattr(map_classes(f), self.first) and getattr(map_classes(g), self.second)
                 and not getattr(map_classes(compose(f, g)), self.conclusion))
         return self.trace() if held else None
+
+
+# a user's claim compiles here too, so the cache is bounded
+@lru_cache(maxsize=1024)
+def _law(text: str, leaf) -> tuple[_claims.Packed, tuple[str, ...], tuple[_claims.Packed, ...]]:
+    """A law compiled to its packed evaluator, with its atoms sorted and
+    their readers."""
+    ast = _claims.parse_claim(text)
+    atoms = tuple(sorted(_claims.atoms_of(ast)))
+    return _claims.compile_claim(ast, leaf), atoms, tuple(leaf(atom) for atom in atoms)
+
+
+@lru_cache(maxsize=None)
+def _trace(atoms: tuple[str, ...], flags: tuple[int, ...]) -> tuple[tuple[str, bool], ...]:
+    """A witness trace, one object shared by every witness that has it."""
+    return tuple((atom, flag == 1) for atom, flag in zip(atoms, flags))
+
+
+class _ClaimLaw(_Declaration):
+    """Laws in the grammar of topoideal.claims, claimed of every structure
+    of a space: of every subset if the law reads "sets", of every codomain
+    and map if it reads "maps"; with carrier_only, of the whole carrier
+    alone.  legs are (witness direction, law text): the two directions of
+    a biconditional, or one law with direction None.  run evaluates each
+    leg on the packed values of the space, every structure at once, and
+    reports the failing structures in ascending bit order, each for the
+    first leg it fails; replay evaluates the same texts on the
+    definitional flags of one structure."""
+
+    def __init__(self, reads: str, legs: tuple[tuple[str | None, str], ...],
+                 carrier_only: bool = False):
+        packing = _SetPacking if reads == "sets" else _MapPacking
+        self.reads, self.kind, self.legs, self.carrier_only = reads, packing.kind, legs, carrier_only
+        # per leg: direction, packed law, sorted law atoms, their readers
+        self.compiled = tuple((d, *_law(text, packing.leaf)) for d, text in legs)
+        self.packed = tuple(leg[1] for leg in self.compiled)
+        self.sized: dict[int, tuple] = {}   # n -> packing, checked bits, structures visited
+
+    def run(self, values, found: list) -> int:
+        # a space with no violation costs a dict lookup and one evaluation per leg
+        n = values.sa.n if self.reads == "maps" else values.n
+        sized = self.sized.get(n)
+        if sized is None:
+            packing = _packing(self.reads, n)
+            sized = self.sized[n] = ((packing, 1 << packing.structures - 1, 1) if self.carrier_only
+                                     else (packing, packing.full, packing.structures))
+        packing, checked, visited = sized
+        failing = 0
+        for law in self.packed:
+            failing |= checked & ~law(values)
+        if failing:
+            bad = [checked & ~law(values) for law in self.packed]
+            for bit in bits(failing):
+                direction, _, atoms, readers = next(
+                    leg for leg, b in zip(self.compiled, bad) if b >> bit & 1)
+                found.append((direction, packing.data(bit),
+                              _trace(atoms, tuple(read(values) >> bit & 1 for read in readers))))
+        return visited
+
+    def replay(self, sp: IdealSpace, data: dict):
+        if self.reads == "sets":
+            if self.carrier_only and data["subset"] != sp.topo.full:
+                return None
+            values = set_classes(sp, data["subset"]).as_dict()
+        else:
+            f = SpaceMap(sp, make_topology(sp.n, data["cod_topology"]), tuple(data["map"]))
+            values = {k: v for k, v in map_classes(f).as_dict().items() if v is not None}
+            values.update(zip(_claims.TT4_CONDITIONS,
+                              check_pre_i_continuity_equivalences(f).bits))
+        props = space_props(sp)
+        values.update((name, getattr(props, name)) for name in _claims.SPACE_FLAGS)
+        for _, text in self.legs:
+            ast = _claims.parse_claim(text)
+            if not _claims.evaluate(ast, values):
+                return tuple((name, values[name]) for name in sorted(_claims.atoms_of(ast)))
+        return None
 
 
 @dataclass(frozen=True)
@@ -381,7 +459,8 @@ _REGISTRY_ROWS = (
     ("star_perfect_remark", "sets", "none",
      ("star_perfect => open & i_open & pre_i_open | !open & !i_open & !pre_i_open",),
      "for star-perfect sets: open, I-open and pre-I-open coincide"),
-    ("x_always_pio", "sets", "none", ("pre_i_open",),
+    ("x_always_pio", "sets", "none",
+     (_ClaimLaw("sets", ((None, "pre_i_open"),), carrier_only=True),),
      "the whole carrier is always pre-I-open"),
     ("isi_consistency", "set_families", "none", (_IrresolvableLaw(),),
      "strong irresolvability holds under the maximal ideal and reduces to "
@@ -433,25 +512,28 @@ REGISTRY: dict[str, TheoremCheck] = {
     row[0]: TheoremCheck(*row) for row in _REGISTRY_ROWS
 }
 
-# laws claimed of the whole carrier only, not of every subset
-_CARRIER_ONLY = frozenset({"x_always_pio"})
 _DIRECTIONS = ("fwd", "bwd")
 
 
 @lru_cache(maxsize=None)
-def _law(text: str, leaf) -> tuple[_claims.Packed, tuple[str, ...], tuple[_claims.Packed, ...]]:
-    """A law compiled to its packed evaluator, with its atoms sorted and
-    their readers."""
-    ast = _claims.parse_claim(text)
-    atoms = tuple(sorted(_claims.atoms_of(ast)))
-    return _claims.compile_claim(ast, leaf), atoms, tuple(leaf(atom) for atom in atoms)
+def _runnable(check: TheoremCheck, direction: str | None) -> _Declaration | None:
+    """The law a check runs in a swept direction ("both", "fwd" or "bwd"),
+    or in a witness's direction (None on a check without directions);
+    None if the check has no law of that direction.  A claim runs as a
+    _ClaimLaw of the check's scope."""
+    if not check.directional:
+        law = check.laws[0]
+        if direction not in ("both", None):
+            return None
+        return _ClaimLaw(check.scope, ((None, law),)) if isinstance(law, str) else law
+    legs = tuple((d, text) for d, text in zip(_DIRECTIONS, check.laws) if direction in ("both", d))
+    return _ClaimLaw(check.scope, legs) if legs else None
 
 
-def _law_for(check: TheoremCheck, direction: str | None) -> str | _Declaration | None:
-    """The claim or declaration a witness of this direction violates, if any."""
-    if check.directional:
-        return dict(zip(_DIRECTIONS, check.laws)).get(direction)
-    return check.laws[0] if direction is None else None
+def _search_law(claim: str, scope: str) -> _ClaimLaw:
+    """The law whose violations are the structures of a scope that satisfy
+    a claim."""
+    return _ClaimLaw(scope, ((None, f"!({claim})"),))
 
 
 # --- witnesses and reports ---------------------------------------------------
@@ -487,7 +569,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     check_id: str
     direction: str
@@ -501,7 +583,7 @@ class CheckResult:
         return self.violation_count == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Report:
     bound: int
     selection: tuple[str, ...]
@@ -612,19 +694,6 @@ def _space_data(sp: IdealSpace) -> tuple[tuple[str, object], ...]:
     return ("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen)
 
 
-def _legs(check: TheoremCheck, direction: str, leaf) -> list[tuple]:
-    """(witness direction, packed law, sorted law atoms, their readers) per
-    swept direction."""
-    swept = [d for d in _DIRECTIONS if direction in ("both", d)] if check.directional else [None]
-    return [(d, *_law(_law_for(check, d), leaf)) for d in swept]
-
-
-@lru_cache(maxsize=None)
-def _trace(atoms: tuple[str, ...], flags: tuple[int, ...]) -> tuple[tuple[str, bool], ...]:
-    """A witness trace, one object shared by every witness that has it."""
-    return tuple((atom, flag == 1) for atom, flag in zip(atoms, flags))
-
-
 def _spaces(n: int, topo_lo: int = 0, topo_hi: int | None = None):
     """The SpaceAnalysis of every ideal space on n points whose topology
     index lies in [topo_lo, topo_hi), in enumeration order; the spaces on
@@ -670,72 +739,34 @@ def _sweep_partition(args):
         if len(entry[2]) < max_witnesses:
             entry[2].append(witness)
 
-    map_packing, laws, runs = None, [], []
-    for key, cid, direction, hypothesis in resolved:
-        check = REGISTRY[cid]
-        passes = None if hypothesis == "none" else _SPACE_PASSES[hypothesis]  # None: all pass
-        law = check.laws[0]
-        declared = isinstance(law, _Declaration)
-        packing = _packing(law.reads if declared else check.scope, n)
-        if packing.kind == "map":
-            map_packing = packing
-        if not declared:
-            legs = _legs(check, direction, packing.leaf)
-            carrier_only = check.id in _CARRIER_ONLY
-            laws.append((key, check, passes, packing, legs, tuple(leg[1] for leg in legs),
-                         1 << ((1 << n) - 1) if carrier_only else packing.full,
-                         1 if carrier_only else packing.structures))
-        else:
-            runs.append((key, check, passes, packing, law))
+    runs = [(key, cid, None if hypothesis == "none" else _SPACE_PASSES[hypothesis],  # None: all pass
+             _runnable(REGISTRY[cid], direction))
+            for key, cid, direction, hypothesis in resolved]
+    map_packing = _packing("maps", n) if any(law.reads == "maps" for *_, law in runs) else None
     spaces = 0
-    found: list[tuple] = []   # (data, trace) per violation of one declaration on one space
+    found: list[tuple] = []   # (direction, data, trace) per violation of one law on one space
     weighted = (zip(_spaces(n, topo_lo, topo_hi), itertools.repeat(1)) if labeled
                 else _orbit_spaces(n, topo_lo, topo_hi))
     for sa, weight in weighted:
         spaces += weight
         # map atoms are built on their first read, by a check the space admits
         map_values = map_packing.values(sa) if map_packing else None
-        for key, check, passes, packing, legs, packed, checked, per_space in laws:
+        for key, cid, passes, law in runs:
             if key in refuted or passes and not passes(sa):
                 continue
-            acc[key][0] += per_space * weight
-            values = map_values if packing is map_packing else sa
-            failing = 0
-            for law in packed:
-                failing |= checked & ~law(values)
-            if not failing:
-                continue
-            if not labeled:
-                refuted.add(key)
-                continue
-            base = _space_data(sa.sp)
-            bad = [checked & ~law(values) for law in packed]
-            for bit in bits(failing):
-                # a structure failing both legs is reported for the first
-                direction, _, atoms, readers = next(
-                    leg for leg, b in zip(legs, bad) if b >> bit & 1)
-                emit(key, Witness(
-                    n=n, kind=packing.kind, check_id=check.id,
-                    direction=direction, claim=None,
-                    data=base + packing.data(bit),
-                    trace=_trace(atoms, tuple(read(values) >> bit & 1 for read in readers)),
-                ))
-        for key, check, passes, packing, law in runs:
-            if key in refuted or passes and not passes(sa):
-                continue
-            acc[key][0] += law.run(map_values if packing is map_packing else sa, found) * weight
+            acc[key][0] += law.run(map_values if law.reads == "maps" else sa, found) * weight
             if found and labeled:
                 base = _space_data(sa.sp)
-                for data, trace in found:
-                    emit(key, Witness(n=n, kind=law.kind, check_id=check.id, direction=None,
+                for direction, data, trace in found:
+                    emit(key, Witness(n=n, kind=law.kind, check_id=cid, direction=direction,
                                       claim=None, data=base + data, trace=trace))
             elif found:
                 refuted.add(key)
             found.clear()
     counts = {"spaces": spaces}
-    if any(entry[3] is map_packing for entry in laws):
+    if any(isinstance(law, _ClaimLaw) and law.reads == "maps" for *_, law in runs):
         counts["map_structures"] = spaces * map_packing.structures
-    for key, _, _, _, law in runs:
+    for key, _, _, law in runs:
         if law.scope_count:
             counts[law.scope_count] = acc[key][0]
     return acc, counts, refuted
@@ -902,31 +933,25 @@ def _check_search_bound(bound: int) -> None:
 
 def find_counterexample(claim, scope: str, bound: int) -> Witness | None:
     """First structure, in enumeration order over carriers 1..bound, that
-    satisfies the claim; None when the scope is exhausted.  The claim is
-    evaluated on the packed values the sweep uses, a space at a time."""
+    satisfies the claim; None when the scope is exhausted.  The search
+    sweeps the law !claim a space at a time, as a suite does, and stops at
+    its first violation."""
     _check_search_bound(bound)
     ast = _claims.parse_claim(claim) if isinstance(claim, str) else claim
     text = _claims.print_claim(ast)
-    atoms = _claims.atoms_of(ast)
     allowed = _claims.atoms_for_scope(scope)
-    for name in sorted(atoms):
+    for name in sorted(_claims.atoms_of(ast)):
         if name not in allowed:
             raise _claims.UnknownAtom(name, f"not available in scope {scope!r}")
+    law, found = _search_law(text, scope), []
     for n in range(1, bound + 1):
         packing = _packing(scope, n)
-        holds = _claims.compile_claim(ast, packing.leaf)
-        readers = [(name, packing.leaf(name)) for name in sorted(atoms)]
         for sa in _spaces(n):
-            values = packing.values(sa)
-            hits = holds(values) & packing.full
-            if hits:
-                bit = (hits & -hits).bit_length() - 1
-                return Witness(
-                    n=n, kind=packing.kind, check_id=None, direction=None,
-                    claim=text, data=_space_data(sa.sp) + packing.data(bit),
-                    trace=tuple((name, read(values) >> bit & 1 == 1)
-                                for name, read in readers),
-                )
+            law.run(packing.values(sa), found)
+            if found:
+                _, data, trace = found[0]
+                return Witness(n=n, kind=law.kind, check_id=None, direction=None,
+                               claim=text, data=_space_data(sa.sp) + data, trace=trace)
     return None
 
 
@@ -948,7 +973,7 @@ def find_composition_counterexample(bound: int = 3) -> Witness | None:
                 return Witness(
                     n=n, kind="map_pair", check_id=None, direction=None,
                     claim="pre_i_continuous(f) & pre_i_continuous(g) & !pre_i_continuous(g . f)",
-                    data=_space_data(sa.sp) + found[0][0],
+                    data=_space_data(sa.sp) + found[0][1],
                     trace=(("first_pre_i_continuous", True), ("second_pre_i_continuous", True),
                            ("composition_pre_i_continuous", False)))
     return None
@@ -961,43 +986,17 @@ def _rebuild_space(data: dict, n: int) -> IdealSpace:
     return IdealSpace(topo, principal_ideal(n, data["ideal_gen"]))
 
 
-def _definitional_values(kind: str, data: dict, n: int) -> dict[str, bool]:
-    """Every atom of a set or map structure, from the definitional predicates."""
-    sp = _rebuild_space(data, n)
-    if kind == "set":
-        values = set_classes(sp, data["subset"]).as_dict()
-    else:
-        f = SpaceMap(sp, make_topology(n, data["cod_topology"]), tuple(data["map"]))
-        values = {k: v for k, v in map_classes(f).as_dict().items() if v is not None}
-        values.update(zip(_claims.TT4_CONDITIONS,
-                          check_pre_i_continuity_equivalences(f).bits))
-    props = space_props(sp)
-    values.update((name, getattr(props, name)) for name in _claims.SPACE_FLAGS)
-    return values
-
-
 def replay_witness(w: Witness) -> bool:
     """Re-evaluate a witness on freshly built objects through the definitional
-    route; True when it still witnesses what it claims to."""
+    route; True when it still witnesses what it claims to.  A check witness
+    violates its check's law in its direction; a claim witness violates the
+    law !claim, that is, satisfies its claim."""
     data = w.data_dict()
-    if w.check_id is None:
-        if w.kind == "map_pair":   # from the composition search
-            return _COMPOSITION_SEARCH.replay(_rebuild_space(data, w.n), data) is not None
-        text, wanted = w.claim, True
+    if w.check_id is not None:
+        law = _runnable(REGISTRY[w.check_id], w.direction)
+    elif w.kind == "map_pair":   # from the composition search
+        return _COMPOSITION_SEARCH.replay(_rebuild_space(data, w.n), data) is not None
     else:
-        text, wanted = _law_for(REGISTRY[w.check_id], w.direction), False
-        if not isinstance(text, str):   # a declaration, or no law of this direction
-            return (isinstance(text, _Declaration) and w.kind == text.kind
-                    and text.replay(_rebuild_space(data, w.n), data) == w.trace)
-        if w.check_id in _CARRIER_ONLY and data["subset"] != (1 << w.n) - 1:
-            return False
-    if w.kind not in ("set", "map"):
-        return False
-    # a claim witness satisfies its claim, a check witness violates its law;
-    # either way the trace must give the claim's atoms as they are
-    ast = _claims.parse_claim(text)
-    values = _definitional_values(w.kind, data, w.n)
-    if _claims.evaluate(ast, values) != wanted:
-        return False
-    return (tuple(name for name, _ in w.trace) == tuple(sorted(_claims.atoms_of(ast)))
-            and all(values[name] == value for name, value in w.trace))
+        law = _search_law(w.claim, f"{w.kind}s") if w.kind in ("set", "map") else None
+    return (law is not None and w.kind == law.kind
+            and law.replay(_rebuild_space(data, w.n), data) == w.trace)

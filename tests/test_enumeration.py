@@ -23,7 +23,6 @@ from topoideal.enumeration import (
     maps,
     subsets,
     topologies,
-    topologies_by_preorder,
 )
 from util import (
     alexandrov_opens_oracle,
@@ -45,9 +44,11 @@ def test_topology_counts(n, count):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_topology_routes_agree(n):
-    # family filter, preorder generator, and the test suite's own filter
-    assert topologies(n) == topologies_by_preorder(n)
-    assert list(topologies(n)) == all_topologies_bruteforce(n)
+    # the packed preorder generator, the test suite's own family filter, and
+    # the topologies of the test suite's own preorder tables
+    by_preorder = sorted((_topology_from_min_nbhd(n, rows) for rows in min_nbhd_tables_oracle(n)),
+                         key=lambda t: t.opens)
+    assert list(topologies(n)) == all_topologies_bruteforce(n) == by_preorder
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -175,7 +176,7 @@ def test_carrier_too_large():
 
 def test_streams_deterministic_and_partitionable():
     first = topologies(3)
-    second = tuple(topologies_by_preorder(3))
+    second = tuple(all_topologies_bruteforce(3))
     assert first == second
     assert first[:10] + first[10:] == first
     cursor = EnumCursor("topologies", 3, 7)
