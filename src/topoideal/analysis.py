@@ -12,14 +12,14 @@ SET_ATOMS maps every set atom of the claim grammar to its packed family and
 MAP_ATOMS every map atom to the domain family its preimages are tested
 against.  _SetPacking and _MapPacking give a sweep the atoms of one space
 packed over all its structures: its subsets, or every (codomain, map)
-pair out of it.  These tables are the fast route; topoideal.classes and
-topoideal.maps hold the definitional route, and the test suite pins the
-two against each other.
+pair out of it, grouped by the map's initial topology.  These tables are
+the fast route; topoideal.classes and topoideal.maps hold the
+definitional route, and the test suite pins the two against each other.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Callable
 
@@ -36,7 +36,7 @@ from .core import (
     subspace,
     tau_star,
 )
-from .enumeration import maps, topologies
+from .enumeration import DEFAULT_MAP_BUDGET, BudgetExceeded, maps, topologies
 
 
 class lazy_table(cached_property):
@@ -349,43 +349,56 @@ class _SetPacking:
         return self.subset_data[bit]
 
 
-@lru_cache(maxsize=None)
-def _preimage_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """preimage mask of every codomain mask, for every point table on n points."""
-    return tuple(
-        tuple(sum(1 << x for x in range(n) if m >> tab[x] & 1) for m in range(1 << n))
-        for tab in maps(n, n))
-
-
 class _MapPacking:
     """Map atoms of one domain space packed over (codomain, map) on n points:
     bit ci * len(tabs) + mi is point table tabs[mi] into topology topos[ci],
     so ascending bits follow the enumeration order.
 
     A map atom holds iff every codomain set of its kind (opens, or closed
-    sets) pulls back into its domain family.  For one map the codomain
-    masks that pull back form a mask `good`, and the codomains it admits,
-    spread to their bit positions, are cached per `good`.
+    sets) pulls back into its domain family.  Those preimages are the opens
+    (closed sets) of the map's initial topology, the topology it pulls back
+    onto the domain points, which is itself one of topos: x's minimal
+    neighborhood there is the preimage of f(x)'s.  initial[r] holds the
+    (codomain, map) bits whose initial topology is topos[r], so a map family
+    is the union of initial[r] over the r whose opens (closed sets) lie in
+    the domain family.
+
+    initial takes T(n) ints of T(n) * n^n bits: 4 MB on 4 points, ~19 GB
+    on 5, so packings over DEFAULT_MAP_BUDGET structures are refused.
     """
 
     kind = "map"
     leaf = itemgetter
-    # entries per kind: every mask on 3 points fits, so only n = 4, where an
-    # entry is an 11 kB int, ever clears the cache
-    SPREAD_CACHE_LIMIT = 256
 
     def __init__(self, n: int):
         self.topos = topologies(n)
+        self.structures = len(self.topos) * n ** n
+        if self.structures > DEFAULT_MAP_BUDGET:
+            raise BudgetExceeded(f"{self.structures} (codomain, map) structures on {n} points "
+                                 f"exceed budget {DEFAULT_MAP_BUDGET}")
         self.tabs = maps(n, n)
-        self.preims = _preimage_tables(n)
-        self.structures = len(self.topos) * len(self.tabs)
         self.full = (1 << self.structures) - 1
-        self.cod_families = {
+        self.topo_families = {
             "opens": [family_bits(t.opens) for t in self.topos],
             "closed": [family_bits(t.closed_sets()) for t in self.topos],
         }
-        self.spreads: dict[str, dict[int, int]] = {"opens": {}, "closed": {}}
-        self.families_ta, self.families = None, {}
+        index = {t.min_nbhd: r for r, t in enumerate(self.topos)}
+        # per map, the preimage of every codomain mask
+        preimages = [[sum(1 << x for x, v in enumerate(tab) if m >> v & 1)
+                      for m in range(1 << n)] for tab in self.tabs]
+        # filled through bytearrays: OR-ing single bits into ints this wide
+        # copies the int every time
+        initial = [bytearray((self.structures + 7) >> 3) for _ in self.topos]
+        bit = 0
+        for t in self.topos:
+            nbhd = t.min_nbhd
+            for tab, pre in zip(self.tabs, preimages):
+                # x's minimal neighborhood in the initial topology: the
+                # preimage of tab[x]'s
+                r = index[tuple(pre[nbhd[v]] for v in tab)]
+                initial[r][bit >> 3] |= 1 << (bit & 7)
+                bit += 1
+        self.initial = [int.from_bytes(b, "little") for b in initial]
         self.cod_data = [("cod_topology", t.opens) for t in self.topos]
         self.map_data = [("map", tab) for tab in self.tabs]
 
@@ -396,38 +409,11 @@ class _MapPacking:
         if atom in _claims.SPACE_FLAGS:
             return self.full if SET_ATOMS[atom](sa) else 0
         domain, kind = MAP_ATOMS[atom]
-        # a map family depends only on (kind, domain family), and the ideals
-        # of one topology share most domain families: keep one topology's
-        if sa.ta is not self.families_ta:
-            self.families_ta, self.families = sa.ta, {}
-        key = kind, domain(sa)
-        out = self.families.get(key)
-        if out is None:
-            out = self.families[key] = self._family(*key)
-        return out
-
-    def _family(self, kind: str, fam: int) -> int:
-        spread = self.spreads[kind]
+        fam = domain(sa)
         out = 0
-        for mi, pt in enumerate(self.preims):
-            good = 0
-            for v, p in enumerate(pt):
-                if fam >> p & 1:
-                    good |= 1 << v
-            packed = spread.get(good)
-            if packed is None:
-                if len(spread) >= self.SPREAD_CACHE_LIMIT:
-                    spread.clear()
-                packed = spread[good] = self._spread(kind, good)
-            out |= packed << mi
-        return out
-
-    def _spread(self, kind: str, good: int) -> int:
-        stride = len(self.tabs)
-        out = 0
-        for ci, fam in enumerate(self.cod_families[kind]):
-            if fam & ~good == 0:
-                out |= 1 << (ci * stride)
+        for pulled, members in zip(self.topo_families[kind], self.initial):
+            if pulled & ~fam == 0:
+                out |= members
         return out
 
     def data(self, bit: int) -> tuple[tuple[str, object], ...]:

@@ -931,6 +931,23 @@ def _check_search_bound(bound: int) -> None:
         raise TopoidealError(f"search bound must be >= 1, got {bound}")
 
 
+def _first_witness(law: _Declaration, scope: str, bound: int, claim: str,
+                   trace: tuple | None = None) -> Witness | None:
+    """The first violation of law, in enumeration order over carriers
+    1..bound, as a witness of claim with the law's trace (or trace, if
+    given); None when the scope is exhausted."""
+    found: list[tuple] = []
+    for n in range(1, bound + 1):
+        packing = _packing(scope, n)
+        for sa in _spaces(n):
+            law.run(packing.values(sa), found)
+            if found:
+                _, data, law_trace = found[0]
+                return Witness(n=n, kind=law.kind, check_id=None, direction=None, claim=claim,
+                               data=_space_data(sa.sp) + data, trace=trace or law_trace)
+    return None
+
+
 def find_counterexample(claim, scope: str, bound: int) -> Witness | None:
     """First structure, in enumeration order over carriers 1..bound, that
     satisfies the claim; None when the scope is exhausted.  The search
@@ -943,16 +960,7 @@ def find_counterexample(claim, scope: str, bound: int) -> Witness | None:
     for name in sorted(_claims.atoms_of(ast)):
         if name not in allowed:
             raise _claims.UnknownAtom(name, f"not available in scope {scope!r}")
-    law, found = _search_law(text, scope), []
-    for n in range(1, bound + 1):
-        packing = _packing(scope, n)
-        for sa in _spaces(n):
-            law.run(packing.values(sa), found)
-            if found:
-                _, data, trace = found[0]
-                return Witness(n=n, kind=law.kind, check_id=None, direction=None,
-                               claim=text, data=_space_data(sa.sp) + data, trace=trace)
-    return None
+    return _first_witness(_search_law(text, scope), scope, bound, text)
 
 
 _COMPOSITION_SEARCH = _CompositionLaw("pre_i_continuous", "pre_i_continuous",
@@ -964,19 +972,11 @@ def find_composition_counterexample(bound: int = 3) -> Witness | None:
     pre-I-continuous, searching carriers 1..bound; both hops and the middle
     ideal are quantified."""
     _check_search_bound(bound)
-    for n in range(1, bound + 1):
-        packing = _packing("maps", n)
-        for sa in _spaces(n):
-            found: list[tuple] = []
-            _COMPOSITION_SEARCH.run(packing.values(sa), found)
-            if found:
-                return Witness(
-                    n=n, kind="map_pair", check_id=None, direction=None,
-                    claim="pre_i_continuous(f) & pre_i_continuous(g) & !pre_i_continuous(g . f)",
-                    data=_space_data(sa.sp) + found[0][1],
-                    trace=(("first_pre_i_continuous", True), ("second_pre_i_continuous", True),
-                           ("composition_pre_i_continuous", False)))
-    return None
+    return _first_witness(
+        _COMPOSITION_SEARCH, "maps", bound,
+        "pre_i_continuous(f) & pre_i_continuous(g) & !pre_i_continuous(g . f)",
+        (("first_pre_i_continuous", True), ("second_pre_i_continuous", True),
+         ("composition_pre_i_continuous", False)))
 
 
 # --- independent witness replay ----------------------------------------------------

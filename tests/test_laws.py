@@ -2,7 +2,11 @@
 definitional route.
 
 Every packed map atom is pinned bit by bit to map_classes and
-check_pre_i_continuity_equivalences; every map check is pinned to a
+check_pre_i_continuity_equivalences, and the initial-topology table the
+atoms are packed through to maps.preimage: the table partitions the
+structures, every map lies at its initial topology, each packed family is
+the per-structure pull-back, and a map classifies as the identity onto
+its initial topology.  Every map check is pinned to a
 reference sweep that classifies one map at a time, and forcing one packed
 family to 0 must make each of its legs report witnesses.  The claim search
 must find what a structure-by-structure definitional search finds, and
@@ -10,6 +14,9 @@ replay must reject a witness whose trace is off by one value.
 """
 
 import dataclasses
+import functools
+import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +35,15 @@ from topoideal.claims import (
     print_claim,
 )
 from topoideal.classes import set_classes
-from topoideal.core import space_props
+from topoideal.core import IdealSpace, make_topology, principal_ideal, space_props
+from topoideal.enumeration import BudgetExceeded, topologies
+from topoideal.maps import (
+    SpaceMap,
+    check_pre_i_continuity_equivalences,
+    identity_map,
+    map_classes,
+    preimage,
+)
 from topoideal.verify import (
     REGISTRY,
     Witness,
@@ -42,7 +57,11 @@ from util import (
     MAP_CHECK_ORACLES,
     all_map_structures,
     all_spaces_bruteforce,
+    all_topologies_bruteforce,
+    discrete,
+    pulled_back_family,
     reference_map_report,
+    space_maps,
 )
 
 EVERY_WITNESS = 10 ** 6
@@ -79,21 +98,68 @@ def test_packed_map_atoms_match_definitional_route(n):
             assert packed[atom] >> per_space == 0, atom
 
 
+def test_map_families_match_the_pulled_back_oracle():
+    # every (kind, domain family) a map atom meets on 3 points, on one packing
+    packing = _MapPacking(3)
+    met = {}
+    for sa in _spaces(3):
+        for atom, (domain, kind) in MAP_ATOMS.items():
+            met.setdefault((kind, domain(sa)), (sa, atom))
+    for (kind, fam), (sa, atom) in met.items():
+        assert packing.family(sa, atom) == pulled_back_family(sa.sp, kind, fam), (atom, sa.sp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_initial_topologies_partition_the_structures(n):
+    packing = _packing("maps", n)
+    assert len(packing.initial) == len(topologies(n))
+    # the masks are pairwise disjoint iff their sum is their union
+    assert sum(packing.initial) == functools.reduce(operator.or_, packing.initial) == packing.full
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_shared_map_families_match_unshared_route(n):
-    # one packing across every space shares a family between the ideals of a
-    # topology; a fresh packing per space and atom shares nothing
-    shared = _MapPacking(n)
-    built = []
-    build = shared._family
-    shared._family = lambda *key: built.append(key) or build(*key)
-    atoms = sorted(MAP_ATOMS) + sorted(atoms_for_scope("maps") - set(MAP_ATOMS))
-    visits = 0
-    for sa in _spaces(n):
-        for atom in atoms:
-            visits += atom in MAP_ATOMS
-            assert shared.family(sa, atom) == _MapPacking(n).family(sa, atom), (atom, sa.sp)
-    assert len(built) < visits
+def test_each_map_lies_in_its_initial_topology(n):
+    initial = _packing("maps", n).initial
+    index = {t.opens: r for r, t in enumerate(topologies(n))}
+    dom = IdealSpace(discrete(n), principal_ideal(n, 0))
+    tables = itertools.product(range(n), repeat=n)
+    for bit, (cod, tab) in enumerate(itertools.product(all_topologies_bruteforce(n), tables)):
+        f = SpaceMap(dom, cod, tab)
+        rho = make_topology(n, {preimage(f, v) for v in cod.opens})
+        assert initial[index[rho.opens]] >> bit & 1, (cod.opens, tab)
+
+
+def test_map_packing_past_the_budget_is_refused():
+    # 6,942 topologies times 3,125 maps on 5 points: ~19 GB of initial masks
+    with pytest.raises(BudgetExceeded):
+        _MapPacking(5)
+
+
+def test_a_witnessing_map_claim_at_five_points_needs_no_five_point_packing():
+    w = find_counterexample("continuous & !i_continuous", "maps", 5)
+    assert w.n == 1 and replay_witness(w)
+
+
+def _classified(f):
+    return map_classes(f), check_pre_i_continuity_equivalences(f)
+
+
+def _onto_initial_topology(f):
+    """The identity from f's domain onto f's initial topology."""
+    return identity_map(f.dom, make_topology(f.dom.n, {preimage(f, v) for v in f.cod.opens}))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_map_classifies_as_the_identity_onto_its_initial_topology(n):
+    for sp, cod, tab, _ in all_map_structures(n):
+        f = SpaceMap(sp, cod, tab)
+        assert _classified(f) == _classified(_onto_initial_topology(f)), (sp, cod.opens, tab)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space_maps(min_n=3, max_n=4))
+def test_a_drawn_map_classifies_as_the_identity_onto_its_initial_topology(f):
+    assert _classified(f) == _classified(_onto_initial_topology(f))
 
 
 def _map_cases():

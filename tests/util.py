@@ -27,7 +27,13 @@ from topoideal.core import (
     submasks,
     subspace,
 )
-from topoideal.maps import SpaceMap, check_pre_i_continuity_equivalences, compose, map_classes
+from topoideal.maps import (
+    SpaceMap,
+    check_pre_i_continuity_equivalences,
+    compose,
+    map_classes,
+    preimage,
+)
 from topoideal.verify import CheckResult, Report, Witness
 
 
@@ -210,6 +216,15 @@ def spaces(draw, min_n: int = 1, max_n: int = 4):
     return IdealSpace(topo, principal_ideal(n, gen))
 
 
+# Random maps for hypothesis: a random domain space, the topology of a
+# random space on as many points, and a random point table.
+@st.composite
+def space_maps(draw, min_n: int = 1, max_n: int = 4):
+    dom = draw(spaces(min_n, max_n))
+    cod = draw(spaces(dom.n, dom.n)).topo
+    return SpaceMap(dom, cod, tuple(draw(st.integers(0, dom.n - 1)) for _ in range(dom.n)))
+
+
 # Reference sweep for the per-subset checks: every subset of every space,
 # classified one at a time by the definitional set_classes.  Each entry is
 # (traced flags, forward violation, backward violation or None) over a flag
@@ -338,6 +353,21 @@ def all_map_structures(n: int) -> tuple:
         for sp in all_spaces_bruteforce(n)
         for cod in all_topologies_bruteforce(n)
         for tab in tables)
+
+
+def pulled_back_family(sp: IdealSpace, kind: str, fam: int) -> int:
+    """The (codomain, map) bits, in the sweep's order, of the maps out of sp
+    whose every codomain open (kind "opens") or closed set (kind "closed")
+    pulls back into the packed domain family fam, by maps.preimage one
+    structure at a time."""
+    out = 0
+    tables = itertools.product(range(sp.n), repeat=sp.n)
+    for bit, (cod, tab) in enumerate(itertools.product(all_topologies_bruteforce(sp.n), tables)):
+        f = SpaceMap(sp, cod, tab)
+        sets = cod.opens if kind == "opens" else cod.closed_sets()
+        if all(fam >> preimage(f, v) & 1 for v in sets):
+            out |= 1 << bit
+    return out
 
 
 def reference_map_report(n: int, check_id: str, direction: str, hypothesis: str,
