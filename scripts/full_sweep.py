@@ -5,8 +5,8 @@ Default scales: every set-level check over all labeled topologies and
 ideals on 5 points (222,144 spaces), every map-level check (including
 composition pairs) on 3 points.  A passing check is proven on one space
 per relabeling orbit (2,902 on 5 points), so single-threaded the set level
-takes about 3 s and the map level about 0.1 s (2-vCPU host, Python 3.11);
---jobs partitions the sweeps across processes.
+takes about 1 s and the map level under 0.1 s, and the whole script 1-1.5 s
+(2-vCPU host, Python 3.11); --jobs partitions the sweeps across processes.
 """
 
 import argparse

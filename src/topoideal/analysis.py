@@ -80,7 +80,7 @@ class TopologyAnalysis:
         self.n = topo.n
         self.full = topo.full
         self.size = 1 << topo.n
-        self._sub_cache: dict[int, tuple] = {}
+        self._lifted: dict[str, list[int]] = {}
 
     @lazy_table
     def interior_t(self) -> list[int]:
@@ -159,13 +159,17 @@ class TopologyAnalysis:
                 gen |= m
         return gen
 
-    def sub_tables(self, carrier: int):
-        """Subspace on carrier and its analysis under the minimal ideal, cached."""
-        got = self._sub_cache.get(carrier)
+    def lifted(self, atom: str) -> list[int]:
+        """Entry c is the packed family, in this space's coordinates, of the
+        subsets of carrier c that have the set atom in the subspace on c
+        under the minimal ideal; entry 0 is 0.  Built on first read."""
+        got = self._lifted.get(atom)
         if got is None:
-            sub = subspace(self.topo, carrier)
-            got = (sub, SpaceAnalysis(IdealSpace(sub.topo, principal_ideal(sub.topo.n, 0))))
-            self._sub_cache[carrier] = got
+            got = self._lifted[atom] = [0]
+            for carrier in range(1, self.size):
+                sub = subspace(self.topo, carrier)
+                ssa = SpaceAnalysis(IdealSpace(sub.topo, principal_ideal(sub.topo.n, 0)))
+                got.append(family_bits(map(sub.extend, bits(SET_ATOMS[atom](ssa)))))
         return got
 
 
@@ -370,10 +374,14 @@ class _MapPacking:
     kind = "map"
     leaf = itemgetter
 
+    @staticmethod
+    def fits(n: int) -> bool:
+        return len(topologies(n)) * n ** n <= DEFAULT_MAP_BUDGET
+
     def __init__(self, n: int):
         self.topos = topologies(n)
         self.structures = len(self.topos) * n ** n
-        if self.structures > DEFAULT_MAP_BUDGET:
+        if not self.fits(n):
             raise BudgetExceeded(f"{self.structures} (codomain, map) structures on {n} points "
                                  f"exceed budget {DEFAULT_MAP_BUDGET}")
         self.tabs = maps(n, n)

@@ -44,21 +44,16 @@ def _flag_text(value) -> str:
     return "true" if value else "false"
 
 
-def _max_points_cap() -> int | None:
+def _check_cap(points: int) -> None:
     raw = os.environ.get("TOPOIDEAL_MAX_POINTS")
     if raw is None:
-        return None
+        return
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise TopoidealError(f"TOPOIDEAL_MAX_POINTS is not an integer: {raw!r}")
-
-
-def _check_cap(points: int) -> None:
-    cap = _max_points_cap()
-    if cap is not None and points > cap:
-        raise TopoidealError(
-            f"{points} points exceed TOPOIDEAL_MAX_POINTS={cap}")
+    if points > cap:
+        raise TopoidealError(f"{points} points exceed TOPOIDEAL_MAX_POINTS={cap}")
 
 
 def _load_space(path: str) -> NamedSpace:

@@ -120,10 +120,12 @@ class _Declaration:
 @dataclass(frozen=True)
 class _PairLaw(_Declaration):
     """first(a) & second(b) => conclusion(a op b) for every pair of subsets
-    (a, b) of a space, op being union or intersection.  With `within` set to
-    "first" or "second", the conclusion is read in the subspace on that
-    subset, and pairs whose subspace is empty are skipped; the subspace's
-    ideal is not read, so that conclusion must be a topological atom."""
+    (a, b) of a space, op being union or intersection.  With `within` set
+    to "first" or "second", op is intersection and the conclusion is read in
+    the subspace on that subset, its carrier: run reads it off the lifted
+    table of the topology, replay on the subspace itself.  Pairs with an
+    empty carrier are skipped; the subspace's ideal is not read, so that
+    conclusion must be a topological atom."""
 
     first: str
     second: str
@@ -141,27 +143,22 @@ class _PairLaw(_Declaration):
     def run(self, sa: SpaceAnalysis, found: list) -> int:
         firsts = _unpacked(SET_ATOMS[self.first](sa), sa.size)[0]
         seconds = _unpacked(SET_ATOMS[self.second](sa), sa.size)[0]
-        if self.within:
-            on_first, bad, visited = self.within == "first", [], 0
-            for a in firsts:
-                for b in seconds:
-                    carrier = a if on_first else b
-                    if carrier:
-                        visited += 1
-                        sub, ssa = sa.ta.sub_tables(carrier)
-                        if not SET_ATOMS[self.conclusion](ssa) >> sub.restrict(a & b) & 1:
-                            bad.append((a, b))
+        # a comprehension per case, so no operator call per pair
+        if self.within == "first":
+            firsts, lifted = tuple(filter(None, firsts)), sa.ta.lifted(self.conclusion)
+            bad = [(a, b) for a in firsts for b in seconds if not lifted[a] >> (a & b) & 1]
+        elif self.within == "second":
+            seconds, lifted = tuple(filter(None, seconds)), sa.ta.lifted(self.conclusion)
+            bad = [(a, b) for a in firsts for b in seconds if not lifted[b] >> (a & b) & 1]
         else:
             holds = _unpacked(SET_ATOMS[self.conclusion](sa), sa.size)[1]
-            visited = len(firsts) * len(seconds)
-            # a comprehension per operation, so no operator call per pair
             if self.op == "union":
                 bad = [(a, b) for a in firsts for b in seconds if not holds[a | b]]
             else:
                 bad = [(a, b) for a in firsts for b in seconds if not holds[a & b]]
         trace = self.trace()
         found.extend((None, (("first", a), ("second", b)), trace) for a, b in bad)
-        return visited
+        return len(firsts) * len(seconds)
 
     def replay(self, sp: IdealSpace, data: dict):
         a, b = data["first"], data["second"]
@@ -854,7 +851,9 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
     kept, skipped = [], []
     for row in rows:
         scope = REGISTRY[row[1]].scope
-        if bound <= SCOPE_DEFAULT_BOUND[scope] or allow_large:
+        # "all" skips map scopes that cannot be packed; explicit ones raise
+        if bound <= SCOPE_DEFAULT_BOUND[scope] or allow_large and (
+                explicit or scope.startswith("set") or _MapPacking.fits(bound)):
             kept.append(row)
         elif explicit:
             raise CarrierTooLargeForSuite(
@@ -925,17 +924,14 @@ def check_direction(check_id: str, direction: str, hypothesis: str | None = None
 
 # --- claim search ----------------------------------------------------------------
 
-def _check_search_bound(bound: int) -> None:
-    # a bound below 1 leaves nothing to search, which would read as exhausted
-    if bound < 1:
-        raise TopoidealError(f"search bound must be >= 1, got {bound}")
-
-
 def _first_witness(law: _Declaration, scope: str, bound: int, claim: str,
                    trace: tuple | None = None) -> Witness | None:
     """The first violation of law, in enumeration order over carriers
     1..bound, as a witness of claim with the law's trace (or trace, if
     given); None when the scope is exhausted."""
+    # a bound below 1 leaves nothing to search, which would read as exhausted
+    if bound < 1:
+        raise TopoidealError(f"search bound must be >= 1, got {bound}")
     found: list[tuple] = []
     for n in range(1, bound + 1):
         packing = _packing(scope, n)
@@ -953,7 +949,6 @@ def find_counterexample(claim, scope: str, bound: int) -> Witness | None:
     satisfies the claim; None when the scope is exhausted.  The search
     sweeps the law !claim a space at a time, as a suite does, and stops at
     its first violation."""
-    _check_search_bound(bound)
     ast = _claims.parse_claim(claim) if isinstance(claim, str) else claim
     text = _claims.print_claim(ast)
     allowed = _claims.atoms_for_scope(scope)
@@ -965,18 +960,18 @@ def find_counterexample(claim, scope: str, bound: int) -> Witness | None:
 
 _COMPOSITION_SEARCH = _CompositionLaw("pre_i_continuous", "pre_i_continuous",
                                      "pre_i_continuous", middle_ideal=True)
+# the claim and trace of every composition-search witness
+_COMPOSITION_CLAIM = (
+    "pre_i_continuous(f) & pre_i_continuous(g) & !pre_i_continuous(g . f)",
+    (("first_pre_i_continuous", True), ("second_pre_i_continuous", True),
+     ("composition_pre_i_continuous", False)))
 
 
 def find_composition_counterexample(bound: int = 3) -> Witness | None:
     """First pair of pre-I-continuous maps whose composition is not
     pre-I-continuous, searching carriers 1..bound; both hops and the middle
     ideal are quantified."""
-    _check_search_bound(bound)
-    return _first_witness(
-        _COMPOSITION_SEARCH, "maps", bound,
-        "pre_i_continuous(f) & pre_i_continuous(g) & !pre_i_continuous(g . f)",
-        (("first_pre_i_continuous", True), ("second_pre_i_continuous", True),
-         ("composition_pre_i_continuous", False)))
+    return _first_witness(_COMPOSITION_SEARCH, "maps", bound, *_COMPOSITION_CLAIM)
 
 
 # --- independent witness replay ----------------------------------------------------
@@ -995,7 +990,8 @@ def replay_witness(w: Witness) -> bool:
     if w.check_id is not None:
         law = _runnable(REGISTRY[w.check_id], w.direction)
     elif w.kind == "map_pair":   # from the composition search
-        return _COMPOSITION_SEARCH.replay(_rebuild_space(data, w.n), data) is not None
+        return ((w.claim, w.trace) == _COMPOSITION_CLAIM
+                and _COMPOSITION_SEARCH.replay(_rebuild_space(data, w.n), data) is not None)
     else:
         law = _search_law(w.claim, f"{w.kind}s") if w.kind in ("set", "map") else None
     return (law is not None and w.kind == law.kind

@@ -7,7 +7,8 @@ the (codomain, composed map) bits each first hop reaches; the reference
 goes pair by pair through map_classes.  A false declaration must make each
 leg report the reference's witnesses, which replay.  The composition
 search runs one more composition law, which also quantifies the middle
-ideal, and returns its first witness.
+ideal, and returns its first witness, which replays only with the
+search's own claim and trace.
 """
 
 import dataclasses
@@ -139,3 +140,12 @@ def test_search_replay_reads_the_middle_ideal():
     # bijection onto the discrete topology, is not pre-I-continuous
     data["mid_ideal_gen"] = 3
     assert not replay_witness(dataclasses.replace(w, data=tuple(data.items())))
+
+
+def test_search_replay_gives_back_its_claim_and_trace():
+    w = find_composition_counterexample(2)
+    assert replay_witness(w)
+    flipped = tuple((name, not value) for name, value in w.trace)
+    assert not replay_witness(dataclasses.replace(w, trace=flipped))
+    assert not replay_witness(dataclasses.replace(w, trace=()))
+    assert not replay_witness(dataclasses.replace(w, claim="anything"))

@@ -254,6 +254,8 @@ def test_cli_verify_usage_errors(capsys):
     assert main(["verify", "--points", "99"]) == 2
     assert main(["verify", "--points", "2", "--suite", "tt99"]) == 2
     assert main(["verify", "--points", "4", "--suite", "tt1"]) == 2  # over map bound
+    # past the map packing's budget
+    assert main(["verify", "--points", "5", "--suite", "tt1", "--force"]) == 2
 
 
 def test_cli_verify_json_stable_across_jobs(capsys):

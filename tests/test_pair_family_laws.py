@@ -4,7 +4,8 @@ route, and the one space loop of the sweep.
 Each lemma over subset pairs (t5.i-v, c1.i-ii) is a pair law, each family
 equality (t4.i-iii, submax) a family law, and l1 and isi_consistency are
 one declaration each, all in the registry.  Every declaration is pinned to
-a reference sweep that classifies one pair, or one space, at a time; a
+a reference sweep that classifies one pair, or one space, at a time, and
+the lifted tables that t5.iv and t5.v read to the subspace route; a
 corrupted table or family must make every one of them report the
 reference's witnesses, which replay through the same corruption; and
 replay must accept real witnesses and reject doctored ones.
@@ -16,15 +17,16 @@ import pytest
 
 import topoideal.verify as verify
 import util
-from topoideal.analysis import SET_ATOMS, SpaceAnalysis
-from topoideal.classes import set_classes
-from topoideal.core import IdealSpace, local_function, make_topology, principal_ideal
+from topoideal.analysis import SET_ATOMS, SpaceAnalysis, TopologyAnalysis, family_bits
+from topoideal.classes import CLASS_FLAGS, set_classes
+from topoideal.core import IdealSpace, local_function, make_topology, principal_ideal, submasks
 from topoideal.verify import REGISTRY, replay_witness, run_theorem_suite
 from util import (
     COMPOSITION_LAW_ORACLES,
     FAMILY_LAW_ORACLES,
     OTHER_SPACE_ORACLES,
     PAIR_LAW_ORACLES,
+    all_topologies_bruteforce,
     reference_pair_report,
 )
 
@@ -63,6 +65,21 @@ def test_declared_law_matches_reference_sweep(cid, hypothesis, n):
     got = run_theorem_suite(n, [cid], hypothesis=hypothesis, max_witnesses=EVERY_WITNESS)
     want = reference_pair_report(n, cid, hypothesis, max_witnesses=EVERY_WITNESS)
     assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lifted_tables_match_the_subspace_route(n):
+    # every set atom that set_classes flags, the topological ones included:
+    # entry c holds the subsets of c with the atom in the subspace on c
+    atoms = [atom for atom in SET_ATOMS if atom in CLASS_FLAGS]
+    for topo in all_topologies_bruteforce(n):
+        ta = TopologyAnalysis(topo)
+        for atom in atoms:
+            lifted = ta.lifted(atom)
+            assert len(lifted) == 1 << n and lifted[0] == 0
+            for c in range(1, 1 << n):
+                want = family_bits(m for m in submasks(c) if util.subspace_flags(topo, c, m)[atom])
+                assert lifted[c] == want, (topo.opens, atom, c)
 
 
 def _dropping(flag, dropped):

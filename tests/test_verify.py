@@ -5,6 +5,7 @@ import pytest
 from topoideal.analysis import SET_ATOMS, SpaceAnalysis
 from topoideal.claims import UnknownAtom
 from topoideal.core import TopoidealError, bits
+from topoideal.enumeration import BudgetExceeded
 from topoideal.verify import (
     REGISTRY,
     CarrierTooLargeForSuite,
@@ -172,6 +173,18 @@ def test_explicit_selection_beyond_default_bound_errors():
     rep = run_theorem_suite(4, ["all"])
     assert "tt1" in rep.skipped and "tt5.i" in rep.skipped
     assert all(REGISTRY[r.check_id].scope.startswith("set") for r in rep.results)
+
+
+def test_forced_all_skips_the_map_scopes_past_the_packing_budget():
+    # on 5 points the map scopes cannot be packed: "all" skips them as it
+    # skips checks over their bound, while an explicit one still raises
+    rep = run_theorem_suite(5, "all", allow_large=True)
+    set_ids = [cid for cid, check in REGISTRY.items() if check.scope.startswith("set")]
+    assert rep.skipped == tuple(cid for cid in REGISTRY if cid not in set_ids)
+    sets = run_theorem_suite(5, set_ids, allow_large=True)
+    assert (rep.results, rep.scope_counts) == (sets.results, sets.scope_counts)
+    with pytest.raises(BudgetExceeded):
+        run_theorem_suite(5, ["tt1"], allow_large=True)
 
 
 def test_parallel_report_identical_and_counts_merge():
