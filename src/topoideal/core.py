@@ -112,12 +112,6 @@ def _min_nbhd_from_opens(n: int, opens) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _topology_from_opens_trusted(n: int, opens) -> FiniteTopology:
-    """Build a FiniteTopology from a family already known to be a topology."""
-    canon = tuple(sorted(set(opens)))
-    return FiniteTopology(n, canon, _min_nbhd_from_opens(n, canon))
-
-
 def _unions(rows) -> list[int]:
     """Entry m is the union of rows[x] over the points x of m, for every
     mask m on len(rows) points.  The masks with top point x are those
@@ -320,9 +314,9 @@ def tau_star(sp: IdealSpace) -> FiniteTopology:
 def alpha_topology(topo: FiniteTopology) -> FiniteTopology:
     """Topology whose opens are the sets A with A inside Int(Cl(Int(A)))."""
     n = topo.n
-    opens = [m for m in range(1 << n)
-             if m & ~interior(topo, closure(topo, interior(topo, m))) == 0]
-    return _topology_from_opens_trusted(n, opens)
+    opens = tuple(m for m in range(1 << n)
+                  if m & ~interior(topo, closure(topo, interior(topo, m))) == 0)
+    return FiniteTopology(n, opens, _min_nbhd_from_opens(n, opens))
 
 
 def nowhere_dense_ideal(topo: FiniteTopology) -> Ideal:
@@ -342,19 +336,18 @@ def nowhere_dense_ideal(topo: FiniteTopology) -> Ideal:
 
 
 def subspace(topo: FiniteTopology, mask: int) -> Subspace:
-    """Relative topology {U & mask} on the re-indexed carrier mask."""
+    """Relative topology {U & mask} on the re-indexed carrier mask.
+
+    A point's minimal neighborhood in the subspace is its minimal
+    neighborhood cut down to mask, so the relative topology is the
+    Alexandrov topology of those rows, re-indexed.
+    """
     if mask == 0:
         raise EmptyCarrier("subspace carrier is empty")
     points = tuple(bits(mask))
-    pos = {p: i for i, p in enumerate(points)}
-    rel = set()
-    for u in topo.opens:
-        cut = u & mask
-        out = 0
-        for p in bits(cut):
-            out |= 1 << pos[p]
-        rel.add(out)
-    return Subspace(_topology_from_opens_trusted(len(points), rel), points)
+    rows = [sum(1 << i for i, q in enumerate(points) if topo.min_nbhd[p] >> q & 1)
+            for p in points]
+    return Subspace(_topology_from_min_nbhd(len(points), rows), points)
 
 
 def space_props(sp: IdealSpace) -> SpaceProps:

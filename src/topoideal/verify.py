@@ -35,7 +35,6 @@ an independent route from the sweep's precomputed tables.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 from collections import Counter
@@ -281,9 +280,12 @@ class _CompositionLaw(_Declaration):
     # the legs of a check share their hypothesis, so each visits every pair
     scope_count = "map_pairs_checked"
 
+    def claim(self) -> str:
+        return f"{self.first}(f) & {self.second}(g) & !{self.conclusion}(g . f)"
+
     def trace(self) -> tuple[tuple[str, bool], ...]:
-        return (("composition_conclusion", False), (f"first_{self.first}", True),
-                (f"second_{self.second}", True))
+        return ((f"first_{self.first}", True), (f"second_{self.second}", True),
+                (f"composition_{self.conclusion}", False))
 
     def run(self, values: _MapValues, found: list) -> int:
         """A first hop fails iff the bits its second hops reach meet the
@@ -588,6 +590,7 @@ class Report:
     results: tuple[CheckResult, ...]
     skipped: tuple[str, ...]
     wall_time: float
+    skip_reasons: tuple[str, ...] = ()   # per skipped key, for the text form
 
     @property
     def passed(self) -> bool:
@@ -633,8 +636,8 @@ class Report:
             extra = "" if r.direction == "both" else f" [{r.direction}]"
             hyp = "" if r.hypothesis == "none" else f" under {r.hypothesis}"
             lines.append(f"  {r.check_id:<20}{extra:<7} visited {r.visited:>9}{hyp:<25} {status}")
-        for sk in self.skipped:
-            lines.append(f"  {sk:<20}        skipped (over default bound for its scope)")
+        for sk, reason in zip(self.skipped, self.skip_reasons):
+            lines.append(f"  {sk:<20}        skipped ({reason})")
         return "\n".join(lines)
 
 
@@ -657,7 +660,7 @@ def _second_hops(n: int, second: str,
     fi; and the bit (ui, 0) of every codomain ui."""
     packing = _packing("maps", n)
     tab_index = {t: i for i, t in enumerate(packing.tabs)}
-    packed = [packing.family(sa, second) for sa in _spaces(n)]
+    packed = [packing.family(sa, second) for sa, _ in _spaces(n)]
     if not middle_ideal:
         minimal = packed[::1 << n]
         if any(hops != minimal[i >> n] for i, hops in enumerate(packed)):
@@ -685,28 +688,21 @@ def _reach(n: int, second: str, middle_ideal: bool, first: int) -> int:
 
 # --- the sweep -------------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
 def _space_data(sp: IdealSpace) -> tuple[tuple[str, object], ...]:
-    """The space part of a witness's data, shared by the witnesses on it."""
+    """The space part of a witness's data."""
     return ("topology", sp.topo.opens), ("ideal_gen", sp.ideal.gen)
 
 
-def _spaces(n: int, topo_lo: int = 0, topo_hi: int | None = None):
-    """The SpaceAnalysis of every ideal space on n points whose topology
-    index lies in [topo_lo, topo_hi), in enumeration order; the spaces on
-    one topology share its TopologyAnalysis."""
-    for topo in topologies(n)[topo_lo:topo_hi]:
-        ta = TopologyAnalysis(topo)
-        for ideal in ideals(n):
-            yield SpaceAnalysis(IdealSpace(topo, ideal), ta)
-
-
-def _orbit_spaces(n: int, topo_lo: int, topo_hi: int):
-    """(SpaceAnalysis, weight) of the representative of every relabeling
-    orbit whose topology index lies in [topo_lo, topo_hi), in enumeration
-    order."""
+def _spaces(n: int, topo_lo: int = 0, topo_hi: int | None = None, orbits: bool = False):
+    """(SpaceAnalysis, weight) of every ideal space on n points whose
+    topology index lies in [topo_lo, topo_hi), in enumeration order, each of
+    weight 1; with orbits, of the representative of every relabeling orbit
+    there, weighted by the orbit's size.  The spaces on one topology share
+    its TopologyAnalysis."""
     topos, ideal_list = topologies(n), ideals(n)
-    for ti, gens in _orbits(n):
+    topo_hi = len(topos) if topo_hi is None else topo_hi
+    every = tuple((gen, 1) for gen in range(len(ideal_list)))
+    for ti, gens in _orbits(n) if orbits else ((ti, every) for ti in range(topo_lo, topo_hi)):
         if topo_lo <= ti < topo_hi:
             ta = TopologyAnalysis(topos[ti])
             for gen, weight in gens:
@@ -742,9 +738,7 @@ def _sweep_partition(args):
     map_packing = _packing("maps", n) if any(law.reads == "maps" for *_, law in runs) else None
     spaces = 0
     found: list[tuple] = []   # (direction, data, trace) per violation of one law on one space
-    weighted = (zip(_spaces(n, topo_lo, topo_hi), itertools.repeat(1)) if labeled
-                else _orbit_spaces(n, topo_lo, topo_hi))
-    for sa, weight in weighted:
+    for sa, weight in _spaces(n, topo_lo, topo_hi, orbits=not labeled):
         spaces += weight
         # map atoms are built on their first read, by a check the space admits
         map_values = map_packing.values(sa) if map_packing else None
@@ -785,9 +779,10 @@ def _merge(partials, rows) -> tuple[dict[str, list], dict[str, int]]:
 # --- selection and the public suite entry --------------------------------------
 
 def _tokens(selection) -> list[str]:
+    """The tokens of a selection, stripped; one without any selects all."""
     if isinstance(selection, str):
-        return [tok.strip() for tok in selection.split(",") if tok.strip()]
-    return list(selection)
+        selection = selection.split(",")
+    return [tok.strip() for tok in selection if tok.strip()] or ["all"]
 
 
 def resolve_selection(selection, direction=None, hypothesis=None):
@@ -796,7 +791,7 @@ def resolve_selection(selection, direction=None, hypothesis=None):
     Tokens: 'all', a registered id, a dotted-prefix group ('t5', 'grt1'),
     or id.fwd / id.bwd for one direction of a biconditional.
     """
-    tokens = _tokens(selection) or ["all"]
+    tokens = _tokens(selection)
     rows = []
     seen = set()
 
@@ -848,21 +843,21 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
         raise TopoidealError(f"max_witnesses must be >= 0, got {max_witnesses}")
     rows = resolve_selection(selection, direction, hypothesis)
     explicit = "all" not in _tokens(selection)
-    kept, skipped = [], []
+    kept, skipped = [], {}   # skipped: key -> reason
     for row in rows:
         scope = REGISTRY[row[1]].scope
+        over = bound > SCOPE_DEFAULT_BOUND[scope]
+        if over and not allow_large:
+            if explicit:
+                raise CarrierTooLargeForSuite(
+                    f"check {row[1]} ({scope}) defaults to bound <= "
+                    f"{SCOPE_DEFAULT_BOUND[scope]}; pass allow_large to override")
+            skipped[row[0]] = "over default bound for its scope"
         # "all" skips map scopes that cannot be packed; explicit ones raise
-        if bound <= SCOPE_DEFAULT_BOUND[scope] or allow_large and (
-                explicit or scope.startswith("set") or _MapPacking.fits(bound)):
-            kept.append(row)
-        elif explicit:
-            raise CarrierTooLargeForSuite(
-                f"check {row[1]} ({scope}) defaults to bound <= "
-                f"{SCOPE_DEFAULT_BOUND[scope]}; pass allow_large to override")
+        elif over and not (explicit or scope.startswith("set") or _MapPacking.fits(bound)):
+            skipped[row[0]] = "over the map packing budget"
         else:
-            skipped.append(row[0])
-    if not kept and not skipped:
-        raise UnknownTheoremId("empty selection")
+            kept.append(row)
 
     n_topos = len(topologies(bound))
     # never more workers than usable cores, whatever the caller asks for
@@ -908,39 +903,38 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
         results=results,
         skipped=tuple(skipped),
         wall_time=time.monotonic() - started,
+        skip_reasons=tuple(skipped.values()),
     )
 
 
 def check_direction(check_id: str, direction: str, hypothesis: str | None = None,
                     bound: int = 3, **kw) -> Report:
-    """Run one direction of a biconditional under a caller-chosen hypothesis."""
+    """Run one direction of a biconditional under a caller-chosen hypothesis:
+    the selection token id.fwd or id.bwd, or id itself for "both"."""
     if check_id not in REGISTRY:
         raise UnknownTheoremId(check_id)
-    if direction in _DIRECTIONS and not REGISTRY[check_id].directional:
-        raise NotDirectional(f"check {check_id} has no directions")
-    return run_theorem_suite(bound, [check_id], direction=direction,
-                             hypothesis=hypothesis, **kw)
+    token = check_id if direction == "both" else f"{check_id}.{direction}"
+    return run_theorem_suite(bound, [token], hypothesis=hypothesis, **kw)
 
 
 # --- claim search ----------------------------------------------------------------
 
-def _first_witness(law: _Declaration, scope: str, bound: int, claim: str,
-                   trace: tuple | None = None) -> Witness | None:
-    """The first violation of law, in enumeration order over carriers
-    1..bound, as a witness of claim with the law's trace (or trace, if
-    given); None when the scope is exhausted."""
+def _first_witness(law: _Declaration, bound: int, claim: str) -> Witness | None:
+    """The first violation of law, in enumeration order over the labeled
+    spaces on carriers 1..bound, as a witness of claim with the trace the
+    law gives it; None when the scope is exhausted."""
     # a bound below 1 leaves nothing to search, which would read as exhausted
     if bound < 1:
         raise TopoidealError(f"search bound must be >= 1, got {bound}")
     found: list[tuple] = []
     for n in range(1, bound + 1):
-        packing = _packing(scope, n)
-        for sa in _spaces(n):
+        packing = _packing(law.reads, n)
+        for sa, _ in _spaces(n):
             law.run(packing.values(sa), found)
             if found:
-                _, data, law_trace = found[0]
+                _, data, trace = found[0]
                 return Witness(n=n, kind=law.kind, check_id=None, direction=None, claim=claim,
-                               data=_space_data(sa.sp) + data, trace=trace or law_trace)
+                               data=_space_data(sa.sp) + data, trace=trace)
     return None
 
 
@@ -955,44 +949,36 @@ def find_counterexample(claim, scope: str, bound: int) -> Witness | None:
     for name in sorted(_claims.atoms_of(ast)):
         if name not in allowed:
             raise _claims.UnknownAtom(name, f"not available in scope {scope!r}")
-    return _first_witness(_search_law(text, scope), scope, bound, text)
+    return _first_witness(_search_law(text, scope), bound, text)
 
 
 _COMPOSITION_SEARCH = _CompositionLaw("pre_i_continuous", "pre_i_continuous",
                                      "pre_i_continuous", middle_ideal=True)
-# the claim and trace of every composition-search witness
-_COMPOSITION_CLAIM = (
-    "pre_i_continuous(f) & pre_i_continuous(g) & !pre_i_continuous(g . f)",
-    (("first_pre_i_continuous", True), ("second_pre_i_continuous", True),
-     ("composition_pre_i_continuous", False)))
 
 
 def find_composition_counterexample(bound: int = 3) -> Witness | None:
     """First pair of pre-I-continuous maps whose composition is not
     pre-I-continuous, searching carriers 1..bound; both hops and the middle
     ideal are quantified."""
-    return _first_witness(_COMPOSITION_SEARCH, "maps", bound, *_COMPOSITION_CLAIM)
+    return _first_witness(_COMPOSITION_SEARCH, bound, _COMPOSITION_SEARCH.claim())
 
 
 # --- independent witness replay ----------------------------------------------------
 
-def _rebuild_space(data: dict, n: int) -> IdealSpace:
-    topo = make_topology(n, data["topology"])
-    return IdealSpace(topo, principal_ideal(n, data["ideal_gen"]))
-
-
 def replay_witness(w: Witness) -> bool:
     """Re-evaluate a witness on freshly built objects through the definitional
     route; True when it still witnesses what it claims to.  A check witness
-    violates its check's law in its direction; a claim witness violates the
-    law !claim, that is, satisfies its claim."""
+    violates its check's law in its direction, a composition-search witness
+    the search's law, and a claim witness the law !claim, that is, it
+    satisfies its claim."""
     data = w.data_dict()
     if w.check_id is not None:
         law = _runnable(REGISTRY[w.check_id], w.direction)
-    elif w.kind == "map_pair":   # from the composition search
-        return ((w.claim, w.trace) == _COMPOSITION_CLAIM
-                and _COMPOSITION_SEARCH.replay(_rebuild_space(data, w.n), data) is not None)
+    elif w.claim == _COMPOSITION_SEARCH.claim():
+        law = _COMPOSITION_SEARCH
     else:
         law = _search_law(w.claim, f"{w.kind}s") if w.kind in ("set", "map") else None
-    return (law is not None and w.kind == law.kind
-            and law.replay(_rebuild_space(data, w.n), data) == w.trace)
+    if law is None or w.kind != law.kind:
+        return False
+    sp = IdealSpace(make_topology(w.n, data["topology"]), principal_ideal(w.n, data["ideal_gen"]))
+    return law.replay(sp, data) == w.trace

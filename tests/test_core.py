@@ -30,6 +30,7 @@ from util import (
     interior_oracle,
     local_function_oracle,
     mask,
+    relative_opens_oracle,
     s1_space,
     s2_space,
     spaces,
@@ -248,6 +249,24 @@ def test_subspace_full_carrier_is_identity():
 def test_subspace_of_indiscrete_is_indiscrete():
     sub = subspace(indiscrete(3), mask("ab"))
     assert sub.topo == indiscrete(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subspace_is_the_relative_topology(n):
+    for topo in all_topologies_bruteforce(n):
+        for carrier in range(1, 1 << n):
+            opens = relative_opens_oracle(topo, carrier)
+            sub = subspace(topo, carrier)
+            assert sub.topo == make_topology(bin(carrier).count("1"), opens), (topo.opens, carrier)
+            assert sub.embedding == tuple(p for p in range(n) if carrier >> p & 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_alpha_topology_is_the_alpha_open_family(n):
+    for topo in all_topologies_bruteforce(n):
+        alpha = [m for m in range(1 << n) if m & ~interior_oracle(
+            topo, closure_oracle(topo, interior_oracle(topo, m))) == 0]
+        assert alpha_topology(topo) == make_topology(n, alpha), topo.opens
 
 
 def test_subspace_empty_carrier():

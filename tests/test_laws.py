@@ -102,7 +102,7 @@ def test_map_families_match_the_pulled_back_oracle():
     # every (kind, domain family) a map atom meets on 3 points, on one packing
     packing = _MapPacking(3)
     met = {}
-    for sa in _spaces(3):
+    for sa, _ in _spaces(3):
         for atom, (domain, kind) in MAP_ATOMS.items():
             met.setdefault((kind, domain(sa)), (sa, atom))
     for (kind, fam), (sa, atom) in met.items():

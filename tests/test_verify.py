@@ -167,6 +167,29 @@ def test_check_direction_refuses_a_check_without_directions():
     assert check_direction("t1", "both", bound=2).results[0].direction == "both"
 
 
+def test_check_direction_runs_the_direction_token():
+    assert check_direction("tt42", "fwd").to_json() == run_theorem_suite(3, "tt42.fwd").to_json()
+    with pytest.raises(TopoidealError):
+        check_direction("tt42", "sideways")
+
+
+@pytest.mark.parametrize("selection", ["", ",", " ", [], [""], [" ", ""]])
+def test_an_empty_selection_selects_all(selection):
+    assert run_theorem_suite(4, selection).to_json() == run_theorem_suite(4, "all").to_json()
+
+
+def test_skipped_rows_name_why_they_were_skipped():
+    def reason(report, key):
+        return next(line for line in report.to_text().splitlines()
+                    if line.split()[0] == key).split("skipped ")[1]
+
+    forced = run_theorem_suite(5, "all", allow_large=True)
+    assert reason(forced, "tt1") == reason(forced, "tt5.i") == "(over the map packing budget)"
+    default = run_theorem_suite(4, "all", direction="fwd")
+    assert reason(default, "tt1") == reason(default, "tt43.fwd") == (
+        "(over default bound for its scope)")
+
+
 def test_explicit_selection_beyond_default_bound_errors():
     with pytest.raises(CarrierTooLargeForSuite):
         run_theorem_suite(4, ["tt1"])

@@ -25,7 +25,6 @@ from topoideal.core import (
     principal_ideal,
     space_props,
     submasks,
-    subspace,
 )
 from topoideal.maps import (
     SpaceMap,
@@ -151,6 +150,19 @@ def tau_star_oracle(sp: IdealSpace) -> frozenset[int]:
 # The package's earlier enumeration routes, kept as oracles for the packed
 # ones: Alexandrov opens tested mask by mask, and min-neighborhood tables
 # grown point by point, each candidate row tested against every earlier row.
+def restrict_oracle(carrier: int, a: int) -> int:
+    """a & carrier re-indexed so that the points of carrier, ascending,
+    become 0..k-1."""
+    points = [p for p in range(carrier.bit_length()) if carrier >> p & 1]
+    return sum(1 << i for i, p in enumerate(points) if a >> p & 1)
+
+
+def relative_opens_oracle(topo: FiniteTopology, carrier: int) -> tuple[int, ...]:
+    """The relative topology {U & carrier : U open}, open by open, re-indexed
+    by restrict_oracle."""
+    return tuple(sorted({restrict_oracle(carrier, u) for u in topo.opens}))
+
+
 def alexandrov_opens_oracle(rows) -> tuple[int, ...]:
     """Masks holding the min-neighborhood row of each of their points."""
     n = len(rows)
@@ -441,10 +453,11 @@ def all_set_flags(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def subspace_flags(topo: FiniteTopology, carrier: int, a: int) -> dict[str, bool]:
-    """Flags of a & carrier in the subspace on carrier, under the minimal ideal."""
-    sub = subspace(topo, carrier)
-    return set_classes(IdealSpace(sub.topo, principal_ideal(sub.topo.n, 0)),
-                       sub.restrict(a)).as_dict()
+    """Flags of a & carrier in the subspace on carrier, under the minimal
+    ideal; the subspace comes from relative_opens_oracle, not core.subspace."""
+    k = bin(carrier).count("1")
+    sub = IdealSpace(make_topology(k, relative_opens_oracle(topo, carrier)), principal_ideal(k, 0))
+    return set_classes(sub, restrict_oracle(carrier, a)).as_dict()
 
 
 def _pair_law_violations(sp, flags, check_id, drop):
@@ -466,9 +479,8 @@ def _pair_law_violations(sp, flags, check_id, drop):
                 carrier = a if within == "first" else b
                 if carrier == 0:
                     continue   # no subspace on the empty set
-                sub = subspace(sp.topo, carrier)
                 held = (subspace_flags(sp.topo, carrier, joined)[conclusion]
-                        and drop.get(conclusion) != sub.restrict(joined))
+                        and drop.get(conclusion) != restrict_oracle(carrier, joined))
             else:
                 held = has(conclusion, joined)
             visited += 1
@@ -513,7 +525,7 @@ def reference_pair_report(n: int, check_id: str, hypothesis: str, max_witnesses:
                           drop=None, star=local_function_oracle, flip=()) -> Report:
     """The report run_theorem_suite should give for one pair or family law,
     l1 or isi_consistency: pair laws and l1 pair by pair, the others space
-    by space, from set_classes, subspace, pio_family and the oracles above.
+    by space, from set_classes, pio_family and the oracles above.
 
     Corruptions mirror a table of the sweep: drop maps a flag name to one
     subset whose flag is forced false on every space (and subspace), star
@@ -610,8 +622,8 @@ def reference_composition_report(n: int, check_id: str, hypothesis: str,
     pair by pair through map_classes; law replaces the check's atoms, and
     middle_ideal quantifies the middle ideal as well."""
     law = law or COMPOSITION_LAW_ORACLES[check_id]
-    trace = (("composition_conclusion", False), (f"first_{law[0]}", True),
-             (f"second_{law[1]}", True))
+    trace = ((f"first_{law[0]}", True), (f"second_{law[1]}", True),
+             (f"composition_{law[2]}", False))
     visited = violations = 0
     witnesses = []
     for data, held in composition_pairs(n, law, hypothesis, middle_ideal):
