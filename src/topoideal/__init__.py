@@ -64,10 +64,8 @@ from .maps import (
 from .enumeration import (
     BudgetExceeded,
     CarrierTooLarge,
-    EnumCursor,
     ideals,
     maps,
-    subsets,
     topologies,
 )
 from .claims import (

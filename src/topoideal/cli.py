@@ -61,6 +61,30 @@ def _load_space(path: str) -> NamedSpace:
         return parse_space_file(handle.read())
 
 
+def _family_text(masks, names) -> str:
+    return "; ".join(format_set(m, names) for m in masks)
+
+
+def _table_text(table, names) -> str:
+    return "; ".join(f"{names[i]}->{names[t]}" for i, t in enumerate(table))
+
+
+# (data key, label, renderer) of each witness field, in printing order
+_WITNESS_FIELDS = (
+    ("subset", "subset", format_set),
+    ("first", "first", format_set),
+    ("second", "second", format_set),
+    ("pio_family", "pio-family", _family_text),
+    ("expected", "expected", _family_text),
+    ("mid_topology", "mid-open", _family_text),
+    ("mid_ideal_gen", "mid-ideal", format_set),
+    ("map_first", "map-first", _table_text),
+    ("cod_topology", "to-open", _family_text),
+    ("map", "map", _table_text),
+    ("map_second", "map-second", _table_text),
+)
+
+
 def format_witness(w: Witness) -> str:
     names = default_names(w.n)
     data = w.data_dict()
@@ -75,37 +99,8 @@ def format_witness(w: Witness) -> str:
                    principal_ideal(w.n, data["ideal_gen"])),
         names)
     lines.extend("  " + ln for ln in serialize_space(named).splitlines())
-
-    def set_line(label, mask):
-        lines.append(f"  {label}: {format_set(mask, names)}")
-
-    def map_line(label, table):
-        arrows = "; ".join(f"{names[i]}->{names[t]}" for i, t in enumerate(table))
-        lines.append(f"  {label}: {arrows}")
-
-    if "subset" in data:
-        set_line("subset", data["subset"])
-    if "first" in data:
-        set_line("first", data["first"])
-        set_line("second", data["second"])
-    if "pio_family" in data:
-        lines.append("  pio-family: " + "; ".join(
-            format_set(m, names) for m in data["pio_family"]))
-        lines.append("  expected: " + "; ".join(
-            format_set(m, names) for m in data["expected"]))
-    if "mid_topology" in data:
-        lines.append("  mid-open: " + "; ".join(
-            format_set(u, names) for u in data["mid_topology"]))
-        if "mid_ideal_gen" in data:
-            set_line("mid-ideal", data["mid_ideal_gen"])
-        map_line("map-first", data["map_first"])
-    if "cod_topology" in data:
-        lines.append("  to-open: " + "; ".join(
-            format_set(u, names) for u in data["cod_topology"]))
-    if "map" in data:
-        map_line("map", data["map"])
-    if "map_second" in data:
-        map_line("map-second", data["map_second"])
+    lines.extend(f"  {label}: {render(data[key], names)}"
+                 for key, label, render in _WITNESS_FIELDS if key in data)
     lines.append("  trace: " + " ".join(
         f"{k}={_flag_text(v)}" for k, v in w.trace))
     return "\n".join(lines)

@@ -18,7 +18,6 @@ unpacked table generator and per-mask opens it replaced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -40,13 +39,6 @@ class CarrierTooLarge(TopoidealError):
 
 class BudgetExceeded(TopoidealError):
     pass
-
-
-def subsets(n: int) -> tuple[int, ...]:
-    """All 2^n subset masks, ascending."""
-    if not 0 <= n <= 16:
-        raise CarrierTooLarge(f"subsets need 0 <= n <= 16, got {n}")
-    return tuple(range(1 << n))
 
 
 @lru_cache(maxsize=None)
@@ -148,24 +140,3 @@ def _orbits(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
                 gens.append((gen, len(members) * len(orbit)))
         out.append((i, tuple(gens)))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class EnumCursor:
-    """Stable address of one enumerated structure."""
-
-    kind: str
-    n: int | tuple[int, int]
-    index: int
-
-    def fetch(self):
-        if self.kind == "topologies":
-            return topologies(self.n)[self.index]
-        if self.kind == "ideals":
-            return ideals(self.n)[self.index]
-        if self.kind == "subsets":
-            return subsets(self.n)[self.index]
-        if self.kind == "maps":
-            dom_n, cod_n = self.n
-            return maps(dom_n, cod_n)[self.index]
-        raise TopoidealError(f"unknown enumeration kind {self.kind!r}")

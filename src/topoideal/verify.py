@@ -537,9 +537,8 @@ def _search_law(claim: str, scope: str) -> _ClaimLaw:
 
 # --- witnesses and reports ---------------------------------------------------
 
-# slots: a sweep builds one per violation (97,602 on the map suite at 3
-# points without hypotheses), and without them each instance allocates its
-# attribute storage separately
+# slots: a report keeps up to max_witnesses per check, and without them
+# each kept instance carries its own attribute dict
 @dataclass(frozen=True, slots=True)
 class Witness:
     n: int
@@ -717,21 +716,16 @@ def _sweep_partition(args):
     invariant under relabeling, so a check that holds on a representative
     holds on its orbit, and a check that fails on one is refuted and
     dropped at once, without witnesses, for the labeled pass to sweep.
-    Returns [visited, violations, witnesses] per selection key, the
-    structure counts, and the refuted keys."""
+    The labeled pass counts every violation but builds witnesses only
+    until a key holds max_witnesses.  Returns [visited, violations,
+    witnesses] per selection key, the structure counts, and the refuted
+    keys."""
     n, resolved, topo_lo, topo_hi, max_witnesses, labeled = args
     if not resolved:
         return {}, {}, set()
     # per key: structures visited, violations, kept witnesses
     acc = {key: [0, 0, []] for key, *_ in resolved}
     refuted: set[str] = set()
-
-    def emit(key, witness):
-        entry = acc[key]
-        entry[1] += 1
-        if len(entry[2]) < max_witnesses:
-            entry[2].append(witness)
-
     runs = [(key, cid, None if hypothesis == "none" else _SPACE_PASSES[hypothesis],  # None: all pass
              _runnable(REGISTRY[cid], direction))
             for key, cid, direction, hypothesis in resolved]
@@ -745,12 +739,14 @@ def _sweep_partition(args):
         for key, cid, passes, law in runs:
             if key in refuted or passes and not passes(sa):
                 continue
-            acc[key][0] += law.run(map_values if law.reads == "maps" else sa, found) * weight
+            entry = acc[key]
+            entry[0] += law.run(map_values if law.reads == "maps" else sa, found) * weight
             if found and labeled:
+                entry[1] += len(found)
                 base = _space_data(sa.sp)
-                for direction, data, trace in found:
-                    emit(key, Witness(n=n, kind=law.kind, check_id=cid, direction=direction,
-                                      claim=None, data=base + data, trace=trace))
+                entry[2] += [Witness(n=n, kind=law.kind, check_id=cid, direction=direction,
+                                     claim=None, data=base + data, trace=trace)
+                             for direction, data, trace in found[:max_witnesses - len(entry[2])]]
             elif found:
                 refuted.add(key)
             found.clear()

@@ -17,11 +17,9 @@ from topoideal.core import (
 from topoideal.enumeration import (
     BudgetExceeded,
     CarrierTooLarge,
-    EnumCursor,
     _min_nbhd_tables,
     ideals,
     maps,
-    subsets,
     topologies,
 )
 from util import (
@@ -159,19 +157,13 @@ def test_maps_budget():
     assert len(maps(2, 2, budget=4)) == 4
 
 
-def test_subsets():
-    assert subsets(0) == (0,)
-    assert subsets(2) == (0, 1, 2, 3)
-    assert len(subsets(4)) == 16
-
-
 def test_carrier_too_large():
     with pytest.raises(CarrierTooLarge):
         topologies(6)
     with pytest.raises(CarrierTooLarge):
         topologies(0)
     with pytest.raises(CarrierTooLarge):
-        subsets(17)
+        ideals(17)
 
 
 def test_streams_deterministic_and_partitionable():
@@ -179,8 +171,3 @@ def test_streams_deterministic_and_partitionable():
     second = tuple(all_topologies_bruteforce(3))
     assert first == second
     assert first[:10] + first[10:] == first
-    cursor = EnumCursor("topologies", 3, 7)
-    assert cursor.fetch() == first[7]
-    assert EnumCursor("maps", (2, 2), 1).fetch() == (0, 1)
-    assert EnumCursor("ideals", 3, 5).fetch().gen == 5
-    assert EnumCursor("subsets", 2, 3).fetch() == 3
