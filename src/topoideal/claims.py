@@ -118,81 +118,53 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+# the binary operators and the nodes they build; how tightly each binds is
+# its node's _PRECEDENCE level, and only '=>' groups to the right
+_BINARY = {"=>": Implies, "|": Or, "&": And}
+_PRECEDENCE = {Implies: 0, Or: 1, And: 2, Not: 3, Atom: 4}
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _operand_levels(kind: type) -> tuple[int, int]:
+    """The least levels a binary node's left and right operands may have
+    without parentheses: its own level on the side it groups toward."""
+    level = _PRECEDENCE[kind]
+    return (level + 1, level) if kind is Implies else (level, level + 1)
 
-    def expect_op(self, op: str):
-        kind, value, pos = self.take()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
 
-    def parse(self) -> Node:
-        node = self.implies()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing {value!r}", pos)
-        return node
+def parse_claim(text: str) -> Node:
+    tokens = _tokenize(text)[::-1]   # the next token last
 
-    def implies(self) -> Node:
-        left = self.disjunction()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "=>":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Node:
-        node = self.conjunction()
-        while self.peek()[:2] == ("op", "|"):
-            self.take()
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Node:
-        node = self.negation()
-        while self.peek()[:2] == ("op", "&"):
-            self.take()
-            node = And(node, self.negation())
-        return node
-
-    def negation(self) -> Node:
-        kind, value, pos = self.peek()
-        if (kind, value) == ("op", "!"):
-            self.take()
-            return Not(self.negation())
-        return self.primary()
-
-    def primary(self) -> Node:
-        kind, value, pos = self.take()
+    def operand() -> Node:
+        kind, value, pos = tokens.pop()
         if kind == "name":
             if value not in ALL_ATOMS:
                 raise UnknownAtom(value)
             return Atom(value)
-        if (kind, value) == ("op", "("):
-            node = self.implies()
-            self.expect_op(")")
+        if value == "!":
+            return Not(operand())
+        if value == "(":
+            node = expression(0)
+            kind, value, pos = tokens.pop()
+            if value != ")":
+                raise ParseError("expected ')'", pos)
             return node
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected {value!r}", pos)
 
+    def expression(context: int) -> Node:
+        """Operands joined by binary operators that bind at context or tighter."""
+        node = operand()
+        while (kind := _BINARY.get(tokens[-1][1])) and _PRECEDENCE[kind] >= context:
+            tokens.pop()
+            node = kind(node, expression(_operand_levels(kind)[1]))
+        return node
 
-def parse_claim(text: str) -> Node:
-    return _Parser(text).parse()
-
-
-_PRECEDENCE = {Implies: 0, Or: 1, And: 2, Not: 3, Atom: 4}
+    node = expression(0)
+    kind, value, pos = tokens[-1]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing {value!r}", pos)
+    return node
 
 
 def _render(node: Node, context: int) -> str:
@@ -200,13 +172,11 @@ def _render(node: Node, context: int) -> str:
     if isinstance(node, Atom):
         out = node.name
     elif isinstance(node, Not):
-        out = "!" + _render(node.operand, 3)
-    elif isinstance(node, And):
-        out = f"{_render(node.left, 2)} & {_render(node.right, 3)}"
-    elif isinstance(node, Or):
-        out = f"{_render(node.left, 1)} | {_render(node.right, 2)}"
+        out = "!" + _render(node.operand, level)
     else:
-        out = f"{_render(node.left, 1)} => {_render(node.right, 0)}"
+        op = next(op for op, kind in _BINARY.items() if isinstance(node, kind))
+        left, right = _operand_levels(type(node))
+        out = f"{_render(node.left, left)} {op} {_render(node.right, right)}"
     if level < context:
         return f"({out})"
     return out

@@ -76,15 +76,14 @@ def regular_closed_family(topo: FiniteTopology) -> tuple[int, ...]:
     return tuple(sorted({closure(topo, u) for u in topo.opens}))
 
 
+def _is_open_trace(opens, family, a: int) -> bool:
+    """Whether a == U & F for an open U and an F of the family, by scan."""
+    return any(a & ~f == 0 and any(u & f == a for u in opens) for f in family)
+
+
 def is_a_set(topo: FiniteTopology, a: int) -> bool:
     """Intersection of an open set and a regular closed set."""
-    for r in regular_closed_family(topo):
-        if a & ~r:
-            continue
-        for u in topo.opens:
-            if u & r == a:
-                return True
-    return False
+    return _is_open_trace(topo.opens, regular_closed_family(topo), a)
 
 
 def is_pre_i_open(sp: IdealSpace, a: int) -> bool:
@@ -100,16 +99,9 @@ def star_perfect_family(sp: IdealSpace) -> tuple[int, ...]:
 
 
 def is_i_locally_closed(sp: IdealSpace, a: int, perfect=None) -> bool:
-    """Intersection of an open set and a star-perfect set, decided by scan."""
-    if perfect is None:
-        perfect = star_perfect_family(sp)
-    for v in perfect:
-        if a & ~v:
-            continue
-        for u in sp.topo.opens:
-            if u & v == a:
-                return True
-    return False
+    """Intersection of an open set and a star-perfect set."""
+    family = star_perfect_family(sp) if perfect is None else perfect
+    return _is_open_trace(sp.topo.opens, family, a)
 
 
 def is_tau_star_open(sp: IdealSpace, a: int) -> bool:

@@ -19,7 +19,9 @@ from .core import IdealSpace, TopoidealError, bits, make_topology, principal_ide
 from .files import (
     NamedSpace,
     default_names,
+    format_family,
     format_set,
+    format_table,
     parse_map_file,
     parse_space_file,
     serialize_space,
@@ -61,27 +63,19 @@ def _load_space(path: str) -> NamedSpace:
         return parse_space_file(handle.read())
 
 
-def _family_text(masks, names) -> str:
-    return "; ".join(format_set(m, names) for m in masks)
-
-
-def _table_text(table, names) -> str:
-    return "; ".join(f"{names[i]}->{names[t]}" for i, t in enumerate(table))
-
-
 # (data key, label, renderer) of each witness field, in printing order
 _WITNESS_FIELDS = (
     ("subset", "subset", format_set),
     ("first", "first", format_set),
     ("second", "second", format_set),
-    ("pio_family", "pio-family", _family_text),
-    ("expected", "expected", _family_text),
-    ("mid_topology", "mid-open", _family_text),
+    ("pio_family", "pio-family", format_family),
+    ("expected", "expected", format_family),
+    ("mid_topology", "mid-open", format_family),
     ("mid_ideal_gen", "mid-ideal", format_set),
-    ("map_first", "map-first", _table_text),
-    ("cod_topology", "to-open", _family_text),
-    ("map", "map", _table_text),
-    ("map_second", "map-second", _table_text),
+    ("map_first", "map-first", format_table),
+    ("cod_topology", "to-open", format_family),
+    ("map", "map", format_table),
+    ("map_second", "map-second", format_table),
 )
 
 
@@ -130,11 +124,9 @@ def cmd_classify(args) -> int:
             if domain_reading != out[flag]:
                 readings[f"{flag}_domain_reading"] = domain_reading
     if args.json:
-        print(json.dumps({"map": "; ".join(
-            f"{s}->{named_map.cod_names[t]}"
-            for s, t in zip(named_map.dom_names, named_map.map.table)),
-            "classes": out, **({"readings": readings} if readings else {})},
-            indent=2))
+        table = format_table(named_map.map.table, named_map.dom_names, named_map.cod_names)
+        print(json.dumps({"map": table, "classes": out,
+                          **({"readings": readings} if readings else {})}, indent=2))
     else:
         for name, value in out.items():
             if value is None:
@@ -191,7 +183,7 @@ def cmd_tabulate(args) -> int:
                           for tok, members in rows.items()}, indent=2))
     else:
         for tok, members in rows.items():
-            print(f"{tok}: " + "; ".join(named.format_set(m) for m in members))
+            print(f"{tok}: {format_family(members, named.names)}")
     return 0
 
 

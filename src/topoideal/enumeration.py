@@ -49,12 +49,12 @@ def ideals(n: int) -> tuple[Ideal, ...]:
     return tuple(Ideal(n, gen) for gen in range(1 << n))
 
 
-def maps(dom_n: int, cod_n: int, budget: int = DEFAULT_MAP_BUDGET) -> tuple[tuple[int, ...], ...]:
+def maps(dom_n: int, cod_n: int) -> tuple[tuple[int, ...], ...]:
     """All total point tables dom -> cod in mixed-radix order (last point fastest)."""
     if dom_n < 1 or cod_n < 1:
         raise TopoidealError("map enumeration needs nonempty carriers")
-    if cod_n ** dom_n > budget:
-        raise BudgetExceeded(f"{cod_n}^{dom_n} maps exceed budget {budget}")
+    if cod_n ** dom_n > DEFAULT_MAP_BUDGET:
+        raise BudgetExceeded(f"{cod_n}^{dom_n} maps exceed budget {DEFAULT_MAP_BUDGET}")
     return tuple(itertools.product(range(cod_n), repeat=dom_n))
 
 

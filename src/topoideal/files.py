@@ -98,6 +98,16 @@ def format_set(mask: int, names) -> str:
     return "{" + ",".join(names[i] for i in bits(mask)) + "}"
 
 
+def format_family(masks, names) -> str:
+    return "; ".join(format_set(m, names) for m in masks)
+
+
+def format_table(table, names, cod_names=None) -> str:
+    """A point table as 'src->dst' arrows; cod_names defaults to names."""
+    cod_names = names if cod_names is None else cod_names
+    return "; ".join(f"{src}->{cod_names[dst]}" for src, dst in zip(names, table))
+
+
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
@@ -138,14 +148,19 @@ def _parse_set_token(token: str, index: dict[str, int], line: int, offset: int) 
     return mask
 
 
-def _parse_set_list(value: str, index: dict[str, int], line: int, key_offset: int) -> list[int]:
-    out = []
-    pos = 0
+def _items(value: str, key_offset: int):
+    """Each nonblank ';'-separated item of a directive's value, with the
+    offset of its first character."""
+    offset = key_offset
     for token in value.split(";"):
         if token.strip():
-            out.append(_parse_set_token(token, index, line, key_offset + pos))
-        pos += len(token) + 1
-    return out
+            yield token, offset
+        offset += len(token) + 1
+
+
+def _parse_set_list(value: str, index: dict[str, int], line: int, key_offset: int) -> list[int]:
+    return [_parse_set_token(token, index, line, offset)
+            for token, offset in _items(value, key_offset)]
 
 
 def _parse_points(value: str, line: int, key_offset: int) -> tuple[str, ...]:
@@ -251,10 +266,9 @@ def parse_space_file(text: str) -> NamedSpace:
 
 def serialize_space(named: NamedSpace) -> str:
     names = named.names
-    opens = "; ".join(format_set(u, names) for u in named.space.topo.opens)
     return (
         f"points: {' '.join(names)}\n"
-        f"open: {opens}\n"
+        f"open: {format_family(named.space.topo.opens, names)}\n"
         f"ideal: {format_set(named.space.ideal.gen, names)}\n"
     )
 
@@ -269,19 +283,15 @@ def parse_map_file(text: str, dom: NamedSpace) -> NamedMap:
         if cod_section.read(lineno, key, value, key_offset):
             continue
         if key == "map":
-            pos = 0
-            for token in value.split(";"):
-                if token.strip():
-                    m = _ARROW.match(token)
-                    if m is None:
-                        raise SpaceFileError(f"expected 'src->dst', got {token.strip()!r}",
-                                             lineno, key_offset + pos + 1)
-                    src, dst = m.group(1), m.group(2)
-                    if src in entries:
-                        raise SpaceFileError(f"point {src!r} mapped twice", lineno,
-                                             key_offset + pos + 1)
-                    entries[src] = (dst, lineno, key_offset + pos + 1)
-                pos += len(token) + 1
+            for token, offset in _items(value, key_offset):
+                m = _ARROW.match(token)
+                if m is None:
+                    raise SpaceFileError(f"expected 'src->dst', got {token.strip()!r}",
+                                         lineno, offset + 1)
+                src, dst = m.group(1), m.group(2)
+                if src in entries:
+                    raise SpaceFileError(f"point {src!r} mapped twice", lineno, offset + 1)
+                entries[src] = (dst, lineno, offset + 1)
         else:
             raise SpaceFileError(f"unknown directive {key!r}", lineno, 1)
     cod_section.check(ideal_required=False)
@@ -308,12 +318,9 @@ def serialize_map_file(named: NamedMap) -> str:
     cod = named.map.cod
     lines = [
         f"to-points: {' '.join(named.cod_names)}",
-        "to-open: " + "; ".join(format_set(u, named.cod_names) for u in cod.opens),
+        f"to-open: {format_family(cod.opens, named.cod_names)}",
     ]
     if named.map.cod_ideal is not None:
         lines.append(f"to-ideal: {format_set(named.map.cod_ideal.gen, named.cod_names)}")
-    arrows = "; ".join(
-        f"{src}->{named.cod_names[dst]}"
-        for src, dst in zip(named.dom_names, named.map.table))
-    lines.append(f"map: {arrows}")
+    lines.append(f"map: {format_table(named.map.table, named.dom_names, named.cod_names)}")
     return "\n".join(lines) + "\n"

@@ -130,6 +130,20 @@ def compose(f: SpaceMap, g: SpaceMap) -> SpaceMap:
     return SpaceMap(f.dom, g.cod, tuple(g.table[y] for y in f.table), g.cod_ideal)
 
 
+def _images_i_open(f: SpaceMap, reading: str, closed: bool) -> bool:
+    """Whether the images of the domain opens, or of the domain closed sets
+    complemented, are I-open in the ideal space that reading names."""
+    if reading == "domain":
+        sp = f.dom
+    elif f.cod_ideal is None:
+        raise MissingCodomainIdeal(
+            f"I-{'closed' if closed else 'open'} map class needs a codomain ideal")
+    else:
+        sp = IdealSpace(f.cod, f.cod_ideal)
+    sets, full = (f.dom.topo.closed_sets(), sp.topo.full) if closed else (f.dom.topo.opens, 0)
+    return all(is_i_open(sp, full ^ image(f, s)) for s in sets)
+
+
 def is_i_open_map(f: SpaceMap, reading: str = "codomain") -> bool:
     """Images of domain opens are I-open.
 
@@ -137,26 +151,12 @@ def is_i_open_map(f: SpaceMap, reading: str = "codomain") -> bool:
     codomain ideal); reading='domain' tests them in the domain ideal space
     on the domain topology.
     """
-    if reading == "domain":
-        return all(is_i_open(f.dom, image(f, u)) for u in f.dom.topo.opens)
-    if f.cod_ideal is None:
-        raise MissingCodomainIdeal("I-open map class needs a codomain ideal")
-    cod_sp = IdealSpace(f.cod, f.cod_ideal)
-    return all(is_i_open(cod_sp, image(f, u)) for u in f.dom.topo.opens)
+    return _images_i_open(f, reading, closed=False)
 
 
 def is_i_closed_map(f: SpaceMap, reading: str = "codomain") -> bool:
     """Images of domain closed sets are I-closed (complement I-open)."""
-    if reading == "domain":
-        full = f.dom.topo.full
-        return all(is_i_open(f.dom, full ^ image(f, c))
-                   for c in f.dom.topo.closed_sets())
-    if f.cod_ideal is None:
-        raise MissingCodomainIdeal("I-closed map class needs a codomain ideal")
-    cod_sp = IdealSpace(f.cod, f.cod_ideal)
-    full = f.cod.full
-    return all(is_i_open(cod_sp, full ^ image(f, c))
-               for c in f.dom.topo.closed_sets())
+    return _images_i_open(f, reading, closed=True)
 
 
 def map_classes(f: SpaceMap) -> MapClassVector:
@@ -184,32 +184,12 @@ def check_pre_i_continuity_equivalences(f: SpaceMap) -> EquivalenceReport:
     dom, topo = f.dom, f.dom.topo
     cond1 = all(is_pre_i_open(dom, preimage(f, v)) for v in f.cod.opens)
 
+    # (point bit, preimage of V) for each point x and codomain open V around f(x)
+    around = [(1 << x, preimage(f, v)) for x in range(dom.n) for v in f.cod.opens
+              if v >> f.table[x] & 1]
     fam = pio_family(dom)
-    cond2 = True
-    for x in range(dom.n):
-        bit = 1 << x
-        for v in f.cod.opens:
-            if not v >> f.table[x] & 1:
-                continue
-            pre_v = preimage(f, v)
-            if not any(w & bit and w & ~pre_v == 0 for w in fam):
-                cond2 = False
-                break
-        if not cond2:
-            break
-
-    cond3 = True
-    for x in range(dom.n):
-        bit = 1 << x
-        for v in f.cod.opens:
-            if not v >> f.table[x] & 1:
-                continue
-            nbhd = interior(topo, star_closure(dom, preimage(f, v)))
-            if not nbhd & bit:
-                cond3 = False
-                break
-        if not cond3:
-            break
+    cond2 = all(any(w & bit and w & ~pre_v == 0 for w in fam) for bit, pre_v in around)
+    cond3 = all(interior(topo, star_closure(dom, pre_v)) & bit for bit, pre_v in around)
 
     dom_full = topo.full
     cond4 = all(

@@ -857,7 +857,8 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
 
     n_topos = len(topologies(bound))
     # never more workers than usable cores, whatever the caller asks for
-    jobs = max(1, min(jobs, n_topos, len(os.sched_getaffinity(0))))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = max(1, min(jobs, n_topos, cores or 1))
     cuts = _cuts(n_topos, jobs)
 
     def sweep(pool, selected, labeled):
@@ -871,8 +872,10 @@ def run_theorem_suite(bound: int, selection=("all",), *, direction=None,
         pool = None
         if jobs > 1:
             import multiprocessing as mp
-            _orbits(bound)   # built once, before the workers fork
-            pool = stack.enter_context(mp.get_context("fork").Pool(jobs))
+            # the workers inherit the caches, so without fork the partitions run here
+            if "fork" in mp.get_all_start_methods():
+                _orbits(bound)   # built once, before the workers fork
+                pool = stack.enter_context(mp.get_context("fork").Pool(jobs))
         orbit = sweep(pool, kept, False)
         # an orbit's members can lie in other partitions than its
         # representative, so every partition re-sweeps every refuted key

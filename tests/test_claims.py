@@ -78,6 +78,81 @@ def test_trailing_tokens_rejected():
         parse_claim("open )")
 
 
+# (text, error class, message, position or unknown atom name)
+PARSE_ERRORS = [
+    ("(open & closed", ParseError, "expected ')' (at position 14)", 14),
+    ("(open closed", ParseError, "expected ')' (at position 6)", 6),
+    ("open & (closed", ParseError, "expected ')' (at position 14)", 14),
+    ("& open", ParseError, "unexpected '&' (at position 0)", 0),
+    ("open & | closed", ParseError, "unexpected '|' (at position 7)", 7),
+    ("open => => closed", ParseError, "unexpected '=>' (at position 8)", 8),
+    (")", ParseError, "unexpected ')' (at position 0)", 0),
+    ("open )", ParseError, "unexpected trailing ')' (at position 5)", 5),
+    ("open => closed)", ParseError, "unexpected trailing ')' (at position 14)", 14),
+    ("open closed", ParseError, "unexpected trailing 'closed' (at position 5)", 5),
+    ("(open)(closed)", ParseError, "unexpected trailing '(' (at position 6)", 6),
+    ("!open !closed", ParseError, "unexpected trailing '!' (at position 6)", 6),
+    ("", ParseError, "unexpected end of input (at position 0)", 0),
+    ("!", ParseError, "unexpected end of input (at position 1)", 1),
+    ("preopen &", ParseError, "unexpected end of input (at position 9)", 9),
+    ("open =>", ParseError, "unexpected end of input (at position 7)", 7),
+    ("open @ closed", ParseError, "unexpected character '@' (at position 5)", 5),
+    ("open = closed", ParseError, "unexpected character '=' (at position 5)", 5),
+    ("open & frobnicate", UnknownAtom, "unknown atom 'frobnicate'", "frobnicate"),
+]
+
+
+@pytest.mark.parametrize("text,error,message,where", PARSE_ERRORS,
+                         ids=[repr(row[0]) for row in PARSE_ERRORS])
+def test_parse_error_message_and_position(text, error, message, where):
+    with pytest.raises(error) as err:
+        parse_claim(text)
+    assert str(err.value) == message
+    assert (err.value.name if error is UnknownAtom else err.value.position) == where
+
+
+_o, _c, _d = Atom("open"), Atom("closed"), Atom("dense")
+
+# every nesting of one operator in another, on either side, and of !
+PRINTED = [
+    (Not(_o), "!open"),
+    (Not(Not(_o)), "!!open"),
+    (Not(And(_o, _c)), "!(open & closed)"),
+    (Not(Or(_o, _c)), "!(open | closed)"),
+    (Not(Implies(_o, _c)), "!(open => closed)"),
+    (And(Not(_o), _c), "!open & closed"),
+    (And(_o, Not(_c)), "open & !closed"),
+    (Or(Not(_o), _c), "!open | closed"),
+    (Or(_o, Not(_c)), "open | !closed"),
+    (Implies(Not(_o), _c), "!open => closed"),
+    (Implies(_o, Not(_c)), "open => !closed"),
+    (And(And(_o, _c), _d), "open & closed & dense"),
+    (And(_o, And(_c, _d)), "open & (closed & dense)"),
+    (And(Or(_o, _c), _d), "(open | closed) & dense"),
+    (And(_o, Or(_c, _d)), "open & (closed | dense)"),
+    (And(Implies(_o, _c), _d), "(open => closed) & dense"),
+    (And(_o, Implies(_c, _d)), "open & (closed => dense)"),
+    (Or(And(_o, _c), _d), "open & closed | dense"),
+    (Or(_o, And(_c, _d)), "open | closed & dense"),
+    (Or(Or(_o, _c), _d), "open | closed | dense"),
+    (Or(_o, Or(_c, _d)), "open | (closed | dense)"),
+    (Or(Implies(_o, _c), _d), "(open => closed) | dense"),
+    (Or(_o, Implies(_c, _d)), "open | (closed => dense)"),
+    (Implies(And(_o, _c), _d), "open & closed => dense"),
+    (Implies(_o, And(_c, _d)), "open => closed & dense"),
+    (Implies(Or(_o, _c), _d), "open | closed => dense"),
+    (Implies(_o, Or(_c, _d)), "open => closed | dense"),
+    (Implies(Implies(_o, _c), _d), "(open => closed) => dense"),
+    (Implies(_o, Implies(_c, _d)), "open => closed => dense"),
+]
+
+
+@pytest.mark.parametrize("ast,text", PRINTED, ids=[text for _, text in PRINTED])
+def test_print_claim_uses_minimal_parentheses(ast, text):
+    assert print_claim(ast) == text
+    assert parse_claim(text) == ast
+
+
 def test_evaluate():
     ast = parse_claim("open & !closed => dense")
     assert evaluate(ast, {"open": True, "closed": False, "dense": True})

@@ -22,6 +22,7 @@ from util import (
     all_spaces_bruteforce,
     all_topologies_bruteforce,
     closure_oracle,
+    i_locally_closed_oracle,
     indiscrete,
     interior_oracle,
     local_function_oracle,
@@ -144,6 +145,13 @@ def test_locally_closed_and_a_set_against_pair_scan_oracles(n):
             # classical: the a-sets are exactly the semi-open locally closed sets
             v = set_classes(IdealSpace(topo, principal_ideal(n, 0)), a)
             assert aset == (v.semi_open and v.locally_closed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_i_locally_closed_against_pair_scan_oracle(n):
+    for sp in all_spaces_bruteforce(n):
+        for a in range(1 << n):
+            assert is_i_locally_closed(sp, a) == i_locally_closed_oracle(sp, a)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

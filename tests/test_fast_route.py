@@ -246,3 +246,20 @@ def test_jobs_capped_at_usable_cores(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_theorem_suite(3, ["t1"], jobs=10_000)
     assert ctx.requested == [2]   # one usable core: the serial route, no pool
+
+
+def test_jobs_without_sched_getaffinity_count_cpus(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    serial = run_theorem_suite(2, "t1,tt1")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run_theorem_suite(2, "t1,tt1", jobs=2).to_json() == serial.to_json()
+
+
+def test_jobs_without_fork_run_serially(monkeypatch):
+    ctx = _RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    serial = run_theorem_suite(3, ["t1", "tt6"])
+    assert run_theorem_suite(3, ["t1", "tt6"], jobs=2).to_json() == serial.to_json()
+    assert ctx.requested == []

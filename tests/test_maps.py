@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
+from topoideal.analysis import SpaceAnalysis
 from topoideal.core import (
     IdealSpace,
     full_mask,
@@ -22,16 +24,19 @@ from topoideal.maps import (
     map_classes,
     preimage,
 )
+from topoideal.verify import _packing
 from util import (
     all_spaces_bruteforce,
     all_topologies_bruteforce,
     discrete,
+    image_class_oracle,
     mask,
     s1_space,
     s2_space,
     s3_ideal,
     s3_topologies,
     s4_topology,
+    space_maps,
 )
 
 
@@ -182,3 +187,29 @@ def test_image_side_readings_can_differ():
     assert is_i_open_map(f, reading="codomain") is False
     assert is_i_closed_map(f, reading="domain") is True
     assert is_i_closed_map(f, reading="codomain") is False
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_image_side_classes_against_image_oracle(n):
+    for dom in all_spaces_bruteforce(n):
+        for cod in all_topologies_bruteforce(n):
+            for table in all_maps(n, n):
+                for gen in range(1 << n):
+                    f = make_map(dom, cod, table, principal_ideal(n, gen))
+                    for reading in ("codomain", "domain"):
+                        assert is_i_open_map(f, reading) == image_class_oracle(
+                            f, reading, closed=False)
+                        assert is_i_closed_map(f, reading) == image_class_oracle(
+                            f, reading, closed=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(space_maps(1, 4))
+def test_tt4_pointwise_conditions_match_the_packed_route(f):
+    packing = _packing("maps", f.dom.n)   # a _MapPacking
+    ci = [t.opens for t in packing.topos].index(f.cod.opens)
+    bit = ci * len(packing.tabs) + packing.tabs.index(f.table)
+    sa = SpaceAnalysis(f.dom)
+    report = check_pre_i_continuity_equivalences(f)
+    assert packing.family(sa, "cond2") >> bit & 1 == report.pointwise_pio_witness
+    assert packing.family(sa, "cond3") >> bit & 1 == report.cl_star_neighborhood

@@ -136,6 +136,35 @@ def local_function_oracle(sp: IdealSpace, a: int) -> int:
     return out
 
 
+def i_open_oracle(sp: IdealSpace, a: int) -> bool:
+    """a lies inside Int(a*), with both operators from their oracles."""
+    return a & ~interior_oracle(sp.topo, local_function_oracle(sp, a)) == 0
+
+
+def image_oracle(f: SpaceMap, a: int) -> int:
+    """The codomain points that some point of a maps to."""
+    return sum(1 << y for y in range(f.cod.n)
+               if any(a >> x & 1 and f.table[x] == y for x in range(f.dom.n)))
+
+
+def image_class_oracle(f: SpaceMap, reading: str, closed: bool) -> bool:
+    """I-open map (I-closed map with closed): the image of every domain
+    open (closed set) is I-open (has an I-open complement) in the domain
+    ideal space under reading='domain', else in the codomain ideal space."""
+    sp = f.dom if reading == "domain" else IdealSpace(f.cod, f.cod_ideal)
+    full = full_mask(sp.n)
+    if closed:
+        sources = [full_mask(f.dom.n) & ~u for u in f.dom.topo.opens]
+        return all(i_open_oracle(sp, full & ~image_oracle(f, c)) for c in sources)
+    return all(i_open_oracle(sp, image_oracle(f, u)) for u in f.dom.topo.opens)
+
+
+def i_locally_closed_oracle(sp: IdealSpace, a: int) -> bool:
+    """a == U & F for some open U and some F with F* == F, by pair scan."""
+    perfect = [v for v in range(1 << sp.n) if local_function_oracle(sp, v) == v]
+    return any(u & v == a for u in sp.topo.opens for v in perfect)
+
+
 def tau_star_oracle(sp: IdealSpace) -> frozenset[int]:
     """Opens of tau_star from the explicit base, closed under union by fixpoint."""
     base = {u & ~e for u in sp.topo.opens for e in submasks(sp.ideal.gen)}
